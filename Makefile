@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-hangs slo-smoke serve-smoke serve-chaos chaos-smoke bench bench-engine bench-serve bench-campaign bench-match bench-obs match-smoke serve report engine-stats campaign examples docs-check all clean
+.PHONY: install test test-faults test-hangs test-contended slo-smoke serve-smoke serve-chaos chaos-smoke bench bench-engine bench-serve bench-campaign bench-match bench-obs match-smoke serve report engine-stats campaign examples docs-check all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -25,6 +25,19 @@ test-hangs:
 	REPRO_FAULT_RATE=0.05 REPRO_FAULT_SEED=2014 \
 	REPRO_STALL_MS=0.5 REPRO_WATCHDOG_BUDGET=10 \
 		$(PYTHON) -m pytest tests/ -x -q
+
+# The process-supervision suites on an oversubscribed host (the CI
+# contended job): shard workers, serving replicas and the boot-chaos
+# drains run beside 2x nproc busy-loop processes, killed on exit.
+CONTENDED_TESTS = tests/test_campaign_supervisor.py tests/test_serve_fleet.py \
+	tests/test_serve_boot_chaos.py
+
+test-contended:
+	@hogs=""; trap 'kill $$hogs 2>/dev/null' EXIT INT TERM; \
+	for i in $$(seq $$((2 * $$(nproc)))); do \
+		sh -c 'while :; do :; done' & hogs="$$hogs $$!"; \
+	done; \
+	$(PYTHON) -m pytest -x -q $(CONTENDED_TESTS)
 
 # Longitudinal acceptance smoke (the CI slo-smoke job): a faulted
 # campaign with --trace and --sample armed fires availability and

@@ -27,6 +27,7 @@ from repro.core.generation import GenerationReport
 from repro.core.quarantine import QuarantinedExample
 from repro.modules.interfaces import value_from_wire, value_to_wire
 from repro.values import TypedValue
+from repro.wal import open_wal
 
 #: Journal lifecycle states of one campaign.
 RUNNING = "running"
@@ -243,38 +244,16 @@ class CampaignJournal:
     from workers) behind a lock; every record is its own committed
     transaction, so a SIGKILL at any point leaves a consistent journal.
 
-    The database is opened in **WAL mode with an explicit busy timeout**:
-    sharded campaigns have one writer per shard journal plus concurrent
-    readers (the supervisor's heartbeat poll, ``repro-cli top`` in
-    another process, the merge step).  WAL lets readers proceed while a
-    writer commits, and the busy timeout makes the rare writer-vs-writer
-    collision wait instead of surfacing a spurious ``database is
-    locked`` error.
-
-    Args:
-        path: The SQLite file.
-        busy_timeout: Seconds a blocked statement waits for a lock
-            before erroring (applied both as the connect timeout and as
-            ``PRAGMA busy_timeout``).
+    The database is opened by :func:`repro.wal.open_wal` (WAL mode,
+    ``busy_timeout`` seconds of lock patience): sharded campaigns have
+    one writer per shard journal plus concurrent readers (the
+    supervisor's heartbeat poll, ``repro-cli top``, the merge step).
     """
 
     def __init__(self, path: "str | Path", busy_timeout: float = 10.0) -> None:
         self.path = str(path)
         self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            self.path, timeout=busy_timeout, check_same_thread=False
-        )
-        with self._lock, self._connection:
-            self._connection.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}"
-            )
-            # WAL survives in the database file; synchronous=NORMAL is
-            # the WAL-recommended durability level — commits survive a
-            # process kill (the case campaigns defend against), and only
-            # an OS crash can lose the tail of the log.
-            self._connection.execute("PRAGMA journal_mode = WAL")
-            self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._connection.executescript(_SCHEMA)
+        self._connection = open_wal(self.path, _SCHEMA, busy_timeout)
 
     def close(self) -> None:
         with self._lock:

@@ -11,15 +11,15 @@ Drives a sharded multi-process campaign end to end:
    own per-shard journal.  Process chaos (kill-at-invocation-K,
    kill-rate, stall-heartbeat) is armed only on a shard's first
    attempt, so recovery always converges.
-3. **Supervise.**  A poll loop watches exit codes and heartbeat rows.
-   A worker that died (crash, chaos kill, OOM-kill) or went mute past
-   ``heartbeat_timeout`` (wedged) is SIGKILLed and its shard is
-   reassigned to a fresh worker after exponential backoff — up to
-   ``max_restarts`` times, after which the shard is declared degraded
-   and its unfinished modules are journaled skipped.  Every lifecycle
-   event (spawn, heartbeat-miss, crash, restart, shard-reassign,
-   shard-done, shard-degraded) is committed to the main journal, so the
-   post-mortem timeline reconstructs from the file alone.
+3. **Supervise.**  The shared poll loop (:class:`repro.supervise.Supervisor`)
+   watches exit codes and the shard journals' heartbeat rows.  A worker
+   that died or went mute past ``heartbeat_timeout`` is SIGKILLed and
+   its shard is reassigned to a fresh worker after exponential backoff,
+   up to ``max_restarts`` times; then the shard is declared degraded and
+   its unfinished modules are journaled skipped.  Every lifecycle event
+   (spawn, heartbeat-miss, crash, restart, shard-reassign, shard-done,
+   shard-degraded) is committed to the main journal, so the post-mortem
+   timeline reconstructs from the file alone.
 4. **Merge + finalize.**  Shard entries are upserted into the main
    journal (idempotent), degraded shards' gaps are journaled skipped,
    and the result is assembled in planned order — byte-identical to the
@@ -33,10 +33,8 @@ merged from the per-worker snapshots journaled at heartbeat boundaries.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.campaign.journal import CampaignJournal
@@ -54,27 +52,17 @@ from repro.campaign.sharding import (
 )
 from repro.campaign.worker import shard_worker_main, worker_config
 from repro.obs.propagation import TraceContext, campaign_trace_id
+from repro.supervise import Child, ChildPolicy, Supervisor
 
 
-@dataclass
-class _ShardState:
-    """Supervision bookkeeping of one shard (in-memory only — nothing
-    here needs to survive a supervisor crash)."""
-
-    shard: int
-    module_ids: "list[str]"
-    worker: int
-    attempt: int = 0
-    restarts: int = 0
-    process: "multiprocessing.process.BaseProcess | None" = None
-    spawned_at: float = 0.0
-    restart_at: float = 0.0
-    done: bool = False
-    degraded: bool = False
-
-    @property
-    def finished(self) -> bool:
-        return self.done or self.degraded
+#: Shard workers finish: a clean exit means the shard is journaled
+#: complete, and every restart hands the shard to a fresh worker id.
+SHARD_POLICY = ChildPolicy(
+    done_kind="shard-done",
+    restart_kind="shard-reassign",
+    degraded_kind="shard-degraded",
+    reassign=True,
+)
 
 
 class CampaignSupervisor:
@@ -106,8 +94,6 @@ class CampaignSupervisor:
         self.config = config
         self._wall = wall_clock
         self._sleep = sleep
-        self._mp = multiprocessing.get_context("spawn")
-        self._next_worker = 0
 
     # ------------------------------------------------------------------
     def run(self, campaign_id: str) -> CampaignResult:
@@ -162,215 +148,108 @@ class CampaignSupervisor:
         chaos_armed: bool,
     ) -> CampaignResult:
         shards = shard_plan(planned, self.config.workers)
-        states = [
-            _ShardState(shard=index, module_ids=ids, worker=index)
-            for index, ids in enumerate(shards)
-        ]
-        self._next_worker = len(states)
-        for state in states:
-            self._spawn(journal, campaign_id, state, chaos_armed, kind="spawn")
-        self._supervise(journal, campaign_id, states, chaos_armed)
-        return self._merge(journal, campaign_id, states)
-
-    def _spawn(
-        self,
-        journal: CampaignJournal,
-        campaign_id: str,
-        state: _ShardState,
-        chaos_armed: bool,
-        kind: str,
-    ) -> None:
-        state.attempt += 1
-        # Chaos is armed only on the shard's very first attempt of a
-        # fresh run: a restarted (or resumed) worker must be allowed to
-        # finish, or a kill-at-invocation plan would loop forever.
         has_chaos = (
             self.config.chaos_kill_at > 0
             or self.config.chaos_kill_rate > 0
             or self.config.chaos_stall_after > 0
         )
-        armed = chaos_armed and state.attempt == 1 and has_chaos
-        spec = {
-            "worker": state.worker,
-            "shard": state.shard,
-            "attempt": state.attempt,
-            "journal_path": shard_journal_path(self.db_path, state.shard),
-            "campaign_id": shard_campaign_id(campaign_id, state.shard),
-            "module_ids": state.module_ids,
-            "config": worker_config(self.config, chaos_armed=armed).to_dict(),
-            # The campaign's trace id is *derived* from the campaign id,
-            # so a resumed supervisor (fresh process, journal only)
-            # stamps the same id and the fleet trace stays one trace.
-            "trace_context": TraceContext(
-                trace_id=campaign_trace_id(campaign_id)
-            ).to_dict(),
-        }
-        process = self._mp.Process(
-            target=shard_worker_main,
-            args=(spec,),
-            name=f"repro-shard-{state.shard:02d}",
-        )
-        process.start()
-        state.process = process
-        state.spawned_at = self._wall()
-        journal.record_worker_event(
-            campaign_id,
-            worker=state.worker,
-            shard=state.shard,
-            kind=kind,
-            detail=(
-                f"pid {process.pid} attempt {state.attempt} "
-                f"({len(state.module_ids)} modules"
+        # The campaign's trace id is *derived* from the campaign id, so
+        # a resumed supervisor (fresh process, journal only) stamps the
+        # same id and the fleet trace stays one trace.
+        trace_context = TraceContext(
+            trace_id=campaign_trace_id(campaign_id)
+        ).to_dict()
+
+        def launch(child: Child):
+            # Chaos is armed only on the shard's very first attempt of a
+            # fresh run: a restarted (or resumed) worker must be allowed
+            # to finish, or a kill-at-invocation plan would loop forever.
+            armed = chaos_armed and child.attempt == 1 and has_chaos
+            spec = {
+                "worker": child.worker,
+                "shard": child.slot,
+                "attempt": child.attempt,
+                "journal_path": shard_journal_path(self.db_path, child.slot),
+                "campaign_id": shard_campaign_id(campaign_id, child.slot),
+                "module_ids": shards[child.slot],
+                "config": worker_config(self.config, chaos_armed=armed).to_dict(),
+                "trace_context": trace_context,
+            }
+            suffix = (
+                f" ({len(shards[child.slot])} modules"
                 f"{', chaos armed' if armed else ''})"
-            ),
-            t_wall=state.spawned_at,
-        )
+            )
+            return shard_worker_main, spec, suffix
 
-    # ------------------------------------------------------------------
-    def _supervise(
-        self,
-        journal: CampaignJournal,
-        campaign_id: str,
-        states: "list[_ShardState]",
-        chaos_armed: bool,
-    ) -> None:
-        poll = max(0.05, min(0.2, self.config.heartbeat_interval / 2.0))
-        while not all(state.finished for state in states):
-            for state in states:
-                if state.finished:
-                    continue
-                if state.process is None:
-                    # Waiting out restart backoff.
-                    if self._wall() >= state.restart_at:
-                        self._spawn(
-                            journal, campaign_id, state, chaos_armed,
-                            kind="restart",
-                        )
-                    continue
-                exitcode = state.process.exitcode
-                if exitcode is not None:
-                    state.process.join()
-                    if exitcode == 0:
-                        state.done = True
-                        journal.record_worker_event(
-                            campaign_id,
-                            worker=state.worker,
-                            shard=state.shard,
-                            kind="shard-done",
-                            detail=f"attempt {state.attempt}",
-                        )
-                    else:
-                        journal.record_worker_event(
-                            campaign_id,
-                            worker=state.worker,
-                            shard=state.shard,
-                            kind="crash",
-                            detail=f"exit code {exitcode}",
-                        )
-                        self._schedule_restart(journal, campaign_id, state)
-                    continue
-                if self._heartbeat_stale(campaign_id, state):
-                    journal.record_worker_event(
-                        campaign_id,
-                        worker=state.worker,
-                        shard=state.shard,
-                        kind="heartbeat-miss",
-                        detail=(
-                            f"no heartbeat for "
-                            f">{self.config.heartbeat_timeout:g}s — killing "
-                            f"pid {state.process.pid}"
-                        ),
-                    )
-                    state.process.kill()
-                    state.process.join()
-                    self._schedule_restart(journal, campaign_id, state)
-            if not all(state.finished for state in states):
-                self._sleep(poll)
-
-    def _heartbeat_stale(self, campaign_id: str, state: _ShardState) -> bool:
-        """Is the shard's latest journaled heartbeat older than the
-        timeout?  Before the first beat lands, staleness is measured
-        from the spawn instant (world rebuild takes a moment)."""
-        shard_path = shard_journal_path(self.db_path, state.shard)
-        last = state.spawned_at
-        if os.path.exists(shard_path):
+        def last_heartbeat(child: Child) -> "dict | None":
+            shard_path = shard_journal_path(self.db_path, child.slot)
+            if not os.path.exists(shard_path):
+                return None
             shard_journal = CampaignJournal(shard_path)
             try:
-                status = shard_journal.shard_status(
-                    shard_campaign_id(campaign_id, state.shard), state.shard
+                return shard_journal.shard_status(
+                    shard_campaign_id(campaign_id, child.slot), child.slot
                 )
             finally:
                 shard_journal.close()
-            if status is not None and status["attempt"] == state.attempt:
-                last = max(last, status["heartbeat_wall"])
-        return self._wall() - last > self.config.heartbeat_timeout
 
-    def _schedule_restart(
-        self, journal: CampaignJournal, campaign_id: str, state: _ShardState
-    ) -> None:
-        state.process = None
-        if state.restarts >= self.config.max_restarts:
-            state.degraded = True
+        def record(child: Child, kind: str, detail: str, t_wall) -> None:
             journal.record_worker_event(
                 campaign_id,
-                worker=state.worker,
-                shard=state.shard,
-                kind="shard-degraded",
-                detail=(
-                    f"restart budget exhausted "
-                    f"({self.config.max_restarts} restarts)"
-                ),
+                worker=child.worker,
+                shard=child.slot,
+                kind=kind,
+                detail=detail,
+                t_wall=t_wall,
             )
-            return
-        backoff = self.config.restart_backoff * (2 ** state.restarts)
-        state.restarts += 1
-        state.restart_at = self._wall() + backoff
-        old_worker, state.worker = state.worker, self._next_worker
-        self._next_worker += 1
-        journal.record_worker_event(
-            campaign_id,
-            worker=state.worker,
-            shard=state.shard,
-            kind="shard-reassign",
-            detail=(
-                f"worker {old_worker} -> {state.worker}, "
-                f"restart {state.restarts}/{self.config.max_restarts} "
-                f"after {backoff:g}s backoff"
-            ),
+
+        supervisor = Supervisor(
+            [Child(slot=index, worker=index) for index in range(len(shards))],
+            self.config,
+            SHARD_POLICY,
+            launch,
+            last_heartbeat,
+            record,
+            name="repro-shard",
+            wall_clock=self._wall,
         )
+        for child in supervisor.children:
+            supervisor.spawn(child, "spawn")
+        supervisor.run(self._sleep)
+        degraded = [child.slot for child in supervisor.children if child.degraded]
+        return self._merge(journal, campaign_id, shards, degraded)
 
     # ------------------------------------------------------------------
     def _merge(
         self,
         journal: CampaignJournal,
         campaign_id: str,
-        states: "list[_ShardState]",
+        shards: "list[list[str]]",
+        degraded: "list[int]",
     ) -> CampaignResult:
         """Deterministic journal-merge: upsert every shard's entries,
         fill degraded shards' gaps with skip rows, assemble planned-
         order.  Idempotent end to end — a supervisor SIGKILLed anywhere
         in here re-merges to the same table on resume."""
-        for state in states:
+        for shard in range(len(shards)):
             merge_shard_journal(
                 journal,
                 campaign_id,
-                shard_journal_path(self.db_path, state.shard),
-                shard_campaign_id(campaign_id, state.shard),
+                shard_journal_path(self.db_path, shard),
+                shard_campaign_id(campaign_id, shard),
             )
         entries = journal.entries(campaign_id)
-        for state in states:
-            if not state.degraded:
-                continue
-            for module_id in state.module_ids:
+        for shard in degraded:
+            for module_id in shards[shard]:
                 if module_id not in entries:
                     journal.record_skipped(
                         campaign_id,
                         module_id,
-                        f"shard {state.shard:02d} degraded "
+                        f"shard {shard:02d} degraded "
                         f"(restart budget exhausted after "
                         f"{self.config.max_restarts} restarts)",
                     )
-        breaker_states = self._merged_breaker(campaign_id, len(states))
+        breaker_states = self._merged_breaker(campaign_id, len(shards))
         result = assemble_result(
             journal, campaign_id, breaker_states=breaker_states
         )

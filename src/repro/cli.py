@@ -733,21 +733,14 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         f"\nshared state: {modules} modules, {reports} memoized reports, "
         f"{len(tenants)} tenants"
     )
-    if not events:
-        print("\nno fleet events journaled yet")
-        return 0
-    print(f"\nEVENTS ({len(events)}):")
-    t0 = events[0]["t_wall"]
-    for event in events:
-        who = (
+    _print_timeline(
+        events,
+        "fleet",
+        lambda event: (
             "fleet" if event["replica"] == FLEET
             else f"replica {event['replica']}"
-        )
-        detail = f"  {event['detail']}" if event["detail"] else ""
-        print(
-            f"  +{event['t_wall'] - t0:7.2f}s  {who:<11} "
-            f"{event['kind']}{detail}"
-        )
+        ).ljust(11),
+    )
     return 0
 
 
@@ -1325,18 +1318,29 @@ def cmd_campaign_workers(args: argparse.Namespace) -> int:
             f"{row['phase']:<10}{row['attempt']:<5}{done:<12}"
             f"{row['invocations']:<7}{row['restarts']:<10}{heartbeat_age:<8}"
         )
+    _print_timeline(
+        events,
+        "worker",
+        lambda event: f"worker {event['worker']:<3} shard {event['shard']:<3}",
+    )
+    return 0
+
+
+def _print_timeline(events: "list[dict]", noun: str, who) -> None:
+    """The supervision post-mortem's lifecycle timeline, one line per
+    journaled event, timed from the first; ``who(event)`` labels the
+    process."""
     if not events:
-        print("\nno worker events journaled yet")
-        return 0
+        print(f"\nno {noun} events journaled yet")
+        return
     print(f"\nEVENTS ({len(events)}):")
     t0 = events[0]["t_wall"]
     for event in events:
         detail = f"  {event['detail']}" if event["detail"] else ""
         print(
-            f"  +{event['t_wall'] - t0:7.2f}s  worker {event['worker']:<3} "
-            f"shard {event['shard']:<3} {event['kind']}{detail}"
+            f"  +{event['t_wall'] - t0:7.2f}s  {who(event)} "
+            f"{event['kind']}{detail}"
         )
-    return 0
 
 
 # ----------------------------------------------------------------------

@@ -814,7 +814,7 @@ def build_analysis_modules():
     def composition_profile(kind, sequence):
         return {
             "kind": kind,
-            "most_common": max(set(sequence), key=sequence.count),
+            "most_common": max(sorted(set(sequence)), key=sequence.count),
             "length": str(len(sequence)),
         }
 
@@ -928,7 +928,7 @@ def build_analysis_modules():
                                   lambda s: hashlib.md5(s.encode()).hexdigest()[:8]))
     rows.append(one_class_seq_row("an.sequence_entropy", "SequenceEntropy", "EBI",
                                   _ALL_KINDS, "BiologicalSequence",
-                                  lambda s: f"{-sum((s.count(c) / len(s)) * math.log2(s.count(c) / len(s)) for c in set(s)):.4f}"))
+                                  lambda s: f"{-sum((s.count(c) / len(s)) * math.log2(s.count(c) / len(s)) for c in sorted(set(s))):.4f}"))
     rows.append(one_class_seq_row("an.count_residues", "CountResidues", "EBI",
                                   _ALL_KINDS, "BiologicalSequence",
                                   lambda s: len(set(s))))

@@ -39,6 +39,7 @@ from typing import Callable
 
 from repro.engine.telemetry import LatencyHistogram, merge_stats_snapshots
 from repro.obs.tracing import Span
+from repro.wal import has_table
 
 #: Sections of a journaled replica stats snapshot that are *not* engine
 #: telemetry and must not be handed to ``merge_stats_snapshots``.
@@ -62,40 +63,14 @@ def _stamp(span: Span, role: str, process_id) -> Span:
     return span
 
 
-def _has_serve_schema(path: str) -> bool:
-    """Whether ``path`` already carries serve tables, checked read-only.
-
-    Opening a :class:`ServeStateStore` creates the serve schema, so the
-    fleet readers probe first rather than grafting serve tables onto a
-    file that is only a campaign journal.  Unlike ``has_serve_state``
-    this does not require registered replicas — a store holding only
-    spans or stats snapshots is still readable.
-    """
-    import sqlite3
-
-    if not path or not os.path.exists(str(path)):
-        return False
-    try:
-        connection = sqlite3.connect(str(path))
-    except sqlite3.Error:
-        return False
-    try:
-        row = connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-            "AND name = 'serve_spans'"
-        ).fetchone()
-        return row is not None
-    except sqlite3.Error:
-        return False
-    finally:
-        connection.close()
-
-
 def collect_serve_spans(state_db: str) -> "list[Span]":
     """Every replica span tree in a serve-state file, recording order."""
     from repro.serve.state import ServeStateStore
 
-    if not _has_serve_schema(state_db):
+    # Opening a ServeStateStore creates the serve schema, so probe first
+    # rather than graft serve tables onto a file that is only a campaign
+    # journal.  A store holding only spans is still readable.
+    if not has_table(state_db, "serve_spans"):
         return []
     store = ServeStateStore(state_db)
     try:
@@ -402,13 +377,9 @@ class MetricsAggregator:
         """``(per-replica stats snapshots, replica gauge rows)``."""
         store = self._state
         opened = False
-        if store is None and self._state_db and os.path.exists(
-            str(self._state_db)
-        ):
+        if store is None and has_table(self._state_db, "serve_spans"):
             from repro.serve.state import ServeStateStore
 
-            if not _has_serve_schema(self._state_db):
-                return [], []
             store = ServeStateStore(self._state_db)
             opened = True
         if store is None:

@@ -56,11 +56,11 @@ carries campaigns, HTTP samples, alerts, and the serving fleet's state.
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 import threading
 import time
 from typing import Callable
+
+from repro.wal import has_table, open_wal
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS serve_modules (
@@ -117,32 +117,13 @@ CREATE TABLE IF NOT EXISTS serve_replica_stats (
 
 
 def has_serve_state(path: str) -> bool:
-    """Whether ``path`` is a SQLite file already carrying fleet state.
+    """Whether ``path`` is a SQLite file already carrying fleet state
+    (at least one replica row).
 
     Read-only (never creates tables) — this is what ``repro-cli top``
     uses to decide whether a journal also has replica rows to render.
     """
-    if not path or not os.path.exists(path):
-        return False
-    try:
-        connection = sqlite3.connect(path)
-    except sqlite3.Error:
-        return False
-    try:
-        row = connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-            "AND name = 'serve_replicas'"
-        ).fetchone()
-        if row is None:
-            return False
-        return (
-            connection.execute("SELECT 1 FROM serve_replicas LIMIT 1").fetchone()
-            is not None
-        )
-    except sqlite3.Error:
-        return False
-    finally:
-        connection.close()
+    return has_table(path, "serve_replicas", nonempty=True)
 
 
 class ServeStateStore:
@@ -165,22 +146,12 @@ class ServeStateStore:
         self.path = str(path)
         self._wall = wall_clock
         self._lock = threading.Lock()
-        # Autocommit (isolation_level=None): single statements commit on
-        # their own; the one read-modify-write path (charge) manages its
-        # BEGIN IMMEDIATE transaction explicitly.
-        self._connection = sqlite3.connect(
-            self.path,
-            timeout=busy_timeout,
-            check_same_thread=False,
-            isolation_level=None,
+        # Autocommit: single statements commit on their own; the one
+        # read-modify-write path (charge) manages its BEGIN IMMEDIATE
+        # transaction explicitly.
+        self._connection = open_wal(
+            self.path, _SCHEMA, busy_timeout, autocommit=True
         )
-        with self._lock:
-            self._connection.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}"
-            )
-            self._connection.execute("PRAGMA journal_mode = WAL")
-            self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._connection.executescript(_SCHEMA)
 
     def close(self) -> None:
         with self._lock:
