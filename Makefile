@@ -109,8 +109,9 @@ serve-chaos:
 
 # Sharded-campaign acceptance smoke (the CI chaos-matrix job): a
 # --workers 4 campaign under --chaos-kill-rate, the supervisor itself
-# SIGKILLed mid-run, resumed from the surviving journals, and the
-# resumed report demanded byte-identical to a serial run.
+# SIGKILLed once its journal holds a worker crash and restart, resumed
+# from the surviving journals, and the resumed report demanded
+# byte-identical to a serial run.
 chaos-smoke:
 	$(PYTHON) tools/chaos_smoke.py
 

@@ -39,6 +39,7 @@ from repro.obs.aggregate import (
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.propagation import TraceIdGenerator
 from repro.obs.tracing import Tracer
+from repro.wal import FLEET_SCOPE
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -142,8 +143,10 @@ def measure_assembly(tmp: Path) -> dict:
                     }
                 )
                 tracer.close_root(f"module.{index % 16}", token, "ok")
-                store.record_span(replica, tracer.traces()[-1].to_dict())
-        n_spans = store.span_count()
+                store.record_span(
+                    FLEET_SCOPE, tracer.traces()[-1].to_dict(), replica
+                )
+        n_spans = store.span_count(FLEET_SCOPE)
     finally:
         store.close()
 

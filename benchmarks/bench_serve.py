@@ -41,6 +41,7 @@ from repro.serve import (
     ServeSupervisor,
     run_loadgen,
 )
+from repro.wal import FLEET_SCOPE
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
@@ -147,7 +148,7 @@ def phase_fleet(module_ids) -> dict:
         report = run_loadgen(supervisor.host, supervisor.port, profile)
         per_replica = {
             str(row["replica"]): row["requests_total"]
-            for row in supervisor.store.replicas()
+            for row in supervisor.store.heartbeats(FLEET_SCOPE)
         }
         drained = supervisor.drain()
     finally:

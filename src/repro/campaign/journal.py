@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.examples import Binding, DataExample
 from repro.core.generation import GenerationReport
 from repro.core.quarantine import QuarantinedExample
 from repro.modules.interfaces import value_from_wire, value_to_wire
 from repro.values import TypedValue
-from repro.wal import open_wal
+from repro.wal import FLEET_SCOPE, WalStore
 
 #: Journal lifecycle states of one campaign.
 RUNNING = "running"
@@ -50,17 +48,6 @@ CREATE TABLE IF NOT EXISTS campaign_entries (
     report_json TEXT NOT NULL,
     PRIMARY KEY (campaign_id, module_id)
 );
-CREATE TABLE IF NOT EXISTS campaign_spans (
-    span_seq INTEGER PRIMARY KEY AUTOINCREMENT,
-    campaign_id TEXT NOT NULL REFERENCES campaigns(campaign_id),
-    module_id TEXT NOT NULL,
-    outcome TEXT NOT NULL,
-    start_ms REAL NOT NULL,
-    duration_ms REAL NOT NULL,
-    span_json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS campaign_spans_by_campaign
-    ON campaign_spans (campaign_id, module_id);
 CREATE TABLE IF NOT EXISTS campaign_snapshots (
     snap_seq INTEGER PRIMARY KEY AUTOINCREMENT,
     campaign_id TEXT NOT NULL,
@@ -81,34 +68,11 @@ CREATE TABLE IF NOT EXISTS campaign_alerts (
 );
 CREATE INDEX IF NOT EXISTS campaign_alerts_by_campaign
     ON campaign_alerts (campaign_id);
-CREATE TABLE IF NOT EXISTS worker_events (
-    event_seq INTEGER PRIMARY KEY AUTOINCREMENT,
-    campaign_id TEXT NOT NULL,
-    t_wall REAL NOT NULL,
-    worker INTEGER NOT NULL,
-    shard INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    detail TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS worker_events_by_campaign
-    ON worker_events (campaign_id);
 CREATE TABLE IF NOT EXISTS match_signatures (
     campaign_id TEXT NOT NULL,
     module_id TEXT NOT NULL,
     signature_json TEXT NOT NULL,
     PRIMARY KEY (campaign_id, module_id)
-);
-CREATE TABLE IF NOT EXISTS shard_status (
-    campaign_id TEXT NOT NULL,
-    shard INTEGER NOT NULL,
-    worker INTEGER NOT NULL,
-    pid INTEGER NOT NULL,
-    attempt INTEGER NOT NULL,
-    invocations INTEGER NOT NULL,
-    phase TEXT NOT NULL,
-    heartbeat_wall REAL NOT NULL,
-    stats_json TEXT NOT NULL,
-    PRIMARY KEY (campaign_id, shard)
 );
 """
 
@@ -232,32 +196,30 @@ class CampaignMeta:
     module_ids: tuple[str, ...]
     config: dict = field(default_factory=dict)
 
+    @property
+    def n_shards(self) -> int:
+        """Shard journals the campaign plans (1 when not sharded)."""
+        return max(1, int((self.config or {}).get("workers", 1) or 1))
+
 
 class UnknownCampaignError(KeyError):
     """The journal holds no campaign under the requested id."""
 
 
-class CampaignJournal:
+class CampaignJournal(WalStore):
     """SQLite-backed write-ahead journal of campaign progress.
 
-    One connection is shared across threads (the batch scheduler journals
-    from workers) behind a lock; every record is its own committed
-    transaction, so a SIGKILL at any point leaves a consistent journal.
-
-    The database is opened by :func:`repro.wal.open_wal` (WAL mode,
-    ``busy_timeout`` seconds of lock patience): sharded campaigns have
-    one writer per shard journal plus concurrent readers (the
-    supervisor's heartbeat poll, ``repro-cli top``, the merge step).
+    A :class:`~repro.wal.WalStore`: one connection shared across threads
+    (the batch scheduler journals from workers) behind a lock, every
+    record its own committed statement, so a SIGKILL at any point leaves
+    a consistent journal.  Sharded campaigns have one writer per shard
+    journal plus concurrent readers (the supervisor's heartbeat poll,
+    ``repro-cli top``, the merge step).  Worker lifecycle events,
+    heartbeats and span trees are the inherited lifecycle records, scoped
+    by campaign id.
     """
 
-    def __init__(self, path: "str | Path", busy_timeout: float = 10.0) -> None:
-        self.path = str(path)
-        self._lock = threading.Lock()
-        self._connection = open_wal(self.path, _SCHEMA, busy_timeout)
-
-    def close(self) -> None:
-        with self._lock:
-            self._connection.close()
+    SCHEMA = _SCHEMA
 
     # ------------------------------------------------------------------
     # Campaigns
@@ -272,24 +234,28 @@ class CampaignJournal:
         """Open a new campaign in ``running`` state.
 
         Raises:
-            ValueError: If the campaign id is already journaled.
+            ValueError: If the campaign id is already journaled, or is
+                the serving fleet's scope.
         """
-        with self._lock, self._connection:
-            try:
-                self._connection.execute(
-                    "INSERT INTO campaigns VALUES (?, ?, ?, ?, ?)",
-                    (
-                        campaign_id,
-                        seed,
-                        RUNNING,
-                        json.dumps(list(module_ids)),
-                        json.dumps(config or {}, sort_keys=True),
-                    ),
-                )
-            except sqlite3.IntegrityError:
-                raise ValueError(
-                    f"campaign {campaign_id!r} already exists in {self.path}"
-                ) from None
+        if campaign_id == FLEET_SCOPE:
+            raise ValueError(
+                f"{FLEET_SCOPE!r} is reserved for the serving fleet's records"
+            )
+        try:
+            self._write(
+                "INSERT INTO campaigns VALUES (?, ?, ?, ?, ?)",
+                (
+                    campaign_id,
+                    seed,
+                    RUNNING,
+                    json.dumps(list(module_ids)),
+                    json.dumps(config or {}, sort_keys=True),
+                ),
+            )
+        except sqlite3.IntegrityError:
+            raise ValueError(
+                f"campaign {campaign_id!r} already exists in {self.path}"
+            ) from None
 
     def meta(self, campaign_id: str) -> CampaignMeta:
         """The campaign's row.
@@ -297,14 +263,14 @@ class CampaignJournal:
         Raises:
             UnknownCampaignError: No such campaign in this journal.
         """
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT campaign_id, seed, status, module_ids_json, config_json "
-                "FROM campaigns WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        if row is None:
+        rows = self._query(
+            "SELECT campaign_id, seed, status, module_ids_json, config_json "
+            "FROM campaigns WHERE campaign_id = ?",
+            (campaign_id,),
+        )
+        if not rows:
             raise UnknownCampaignError(campaign_id)
+        (row,) = rows
         return CampaignMeta(
             campaign_id=row[0],
             seed=row[1],
@@ -315,25 +281,19 @@ class CampaignJournal:
 
     def campaigns(self) -> "list[CampaignMeta]":
         """All journaled campaigns, id-ordered."""
-        with self._lock:
-            ids = [
-                row[0]
-                for row in self._connection.execute(
-                    "SELECT campaign_id FROM campaigns ORDER BY campaign_id"
-                ).fetchall()
-            ]
-        return [self.meta(campaign_id) for campaign_id in ids]
+        rows = self._query(
+            "SELECT campaign_id FROM campaigns ORDER BY campaign_id"
+        )
+        return [self.meta(campaign_id) for (campaign_id,) in rows]
 
     def set_status(self, campaign_id: str, status: str) -> None:
         """Move a campaign to ``running`` / ``complete`` / ``degraded``."""
         if status not in (RUNNING, COMPLETE, DEGRADED):
             raise ValueError(f"unknown campaign status {status!r}")
-        with self._lock, self._connection:
-            updated = self._connection.execute(
-                "UPDATE campaigns SET status = ? WHERE campaign_id = ?",
-                (status, campaign_id),
-            ).rowcount
-        if not updated:
+        if not self._write(
+            "UPDATE campaigns SET status = ? WHERE campaign_id = ?",
+            (status, campaign_id),
+        ):
             raise UnknownCampaignError(campaign_id)
 
     # ------------------------------------------------------------------
@@ -342,77 +302,17 @@ class CampaignJournal:
     def record_done(self, campaign_id: str, report: GenerationReport) -> None:
         """Commit one completed module (replacing any earlier skip)."""
         payload = json.dumps(report_to_dict(report), sort_keys=True)
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO campaign_entries VALUES (?, ?, ?, ?, ?)",
-                (campaign_id, report.module_id, "done", "", payload),
-            )
+        self._write(
+            "INSERT OR REPLACE INTO campaign_entries VALUES (?, ?, ?, ?, ?)",
+            (campaign_id, report.module_id, "done", "", payload),
+        )
 
     def record_skipped(self, campaign_id: str, module_id: str, reason: str) -> None:
         """Journal a module the campaign gave up on (resumable later)."""
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO campaign_entries VALUES (?, ?, ?, ?, ?)",
-                (campaign_id, module_id, "skipped", reason, "{}"),
-            )
-
-    # ------------------------------------------------------------------
-    # Spans (the campaign flight recorder)
-    # ------------------------------------------------------------------
-    def record_span(self, campaign_id: str, span: dict) -> None:
-        """Commit one completed invocation span tree.
-
-        Each span is its own committed transaction — exactly like report
-        entries — so a SIGKILLed campaign keeps every trace that finished
-        before the kill.  Spans are *observations*, not results: they
-        live in their own table and never feed report reassembly, so the
-        kill/resume byte-identity guarantee is untouched.
-        """
-        payload = json.dumps(span, sort_keys=True)
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT INTO campaign_spans "
-                "(campaign_id, module_id, outcome, start_ms, duration_ms, span_json) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    span.get("module_id", ""),
-                    span.get("outcome", "ok"),
-                    span.get("start_ms", 0.0),
-                    span.get("duration_ms", 0.0),
-                    payload,
-                ),
-            )
-
-    def spans(
-        self, campaign_id: str, module_id: "str | None" = None
-    ) -> "list[dict]":
-        """Journaled span trees of one campaign, recording order.
-
-        Args:
-            campaign_id: The campaign.
-            module_id: Restrict to one module's invocations.
-        """
-        query = (
-            "SELECT span_json FROM campaign_spans WHERE campaign_id = ?"
+        self._write(
+            "INSERT OR REPLACE INTO campaign_entries VALUES (?, ?, ?, ?, ?)",
+            (campaign_id, module_id, "skipped", reason, "{}"),
         )
-        params: tuple = (campaign_id,)
-        if module_id is not None:
-            query += " AND module_id = ?"
-            params += (module_id,)
-        query += " ORDER BY span_seq"
-        with self._lock:
-            rows = self._connection.execute(query, params).fetchall()
-        return [json.loads(row[0]) for row in rows]
-
-    def span_count(self, campaign_id: str) -> int:
-        """Journaled spans of one campaign."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM campaign_spans WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        return row[0]
 
     # ------------------------------------------------------------------
     # Snapshots (the longitudinal time-series, PR 5)
@@ -426,13 +326,11 @@ class CampaignJournal:
         file alone.  Snapshots are observations — they never feed report
         reassembly, so sampling cannot perturb kill/resume byte-identity.
         """
-        payload = json.dumps(snapshot, sort_keys=True)
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT INTO campaign_snapshots (campaign_id, t_ms, snapshot_json) "
-                "VALUES (?, ?, ?)",
-                (campaign_id, t_ms, payload),
-            )
+        self._write(
+            "INSERT INTO campaign_snapshots "
+            "(campaign_id, t_ms, snapshot_json) VALUES (?, ?, ?)",
+            (campaign_id, t_ms, json.dumps(snapshot, sort_keys=True)),
+        )
 
     def snapshots(self, campaign_id: str) -> "list[dict]":
         """The journaled time-series of one campaign, recording order.
@@ -441,22 +339,19 @@ class CampaignJournal:
         campaign appends to the same time line (its samples carry a
         fresh ``run`` stamp, so per-process segments stay separable).
         """
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT snapshot_json FROM campaign_snapshots "
-                "WHERE campaign_id = ? ORDER BY snap_seq",
-                (campaign_id,),
-            ).fetchall()
+        rows = self._query(
+            "SELECT snapshot_json FROM campaign_snapshots "
+            "WHERE campaign_id = ? ORDER BY snap_seq",
+            (campaign_id,),
+        )
         return [json.loads(row[0]) for row in rows]
 
     def snapshot_count(self, campaign_id: str) -> int:
         """Journaled samples of one campaign."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM campaign_snapshots WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        return row[0]
+        return self._query(
+            "SELECT COUNT(*) FROM campaign_snapshots WHERE campaign_id = ?",
+            (campaign_id,),
+        )[0][0]
 
     # ------------------------------------------------------------------
     # Alerts (the SLO / drift alert history, PR 5)
@@ -468,30 +363,28 @@ class CampaignJournal:
         is a fold over it (:func:`repro.obs.slo.alert_states`), so a
         killed campaign's alerts reconstruct from the file alone.
         """
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT INTO campaign_alerts "
-                "(campaign_id, slo, kind, subject, state, t_ms, detail) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    event.get("slo", ""),
-                    event.get("kind", ""),
-                    event.get("subject", ""),
-                    event.get("state", "firing"),
-                    event.get("t_ms", 0.0),
-                    event.get("detail", ""),
-                ),
-            )
+        self._write(
+            "INSERT INTO campaign_alerts "
+            "(campaign_id, slo, kind, subject, state, t_ms, detail) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                campaign_id,
+                event.get("slo", ""),
+                event.get("kind", ""),
+                event.get("subject", ""),
+                event.get("state", "firing"),
+                event.get("t_ms", 0.0),
+                event.get("detail", ""),
+            ),
+        )
 
     def alerts(self, campaign_id: str) -> "list[dict]":
         """The alert event history of one campaign, recording order."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT slo, kind, subject, state, t_ms, detail "
-                "FROM campaign_alerts WHERE campaign_id = ? ORDER BY alert_seq",
-                (campaign_id,),
-            ).fetchall()
+        rows = self._query(
+            "SELECT slo, kind, subject, state, t_ms, detail "
+            "FROM campaign_alerts WHERE campaign_id = ? ORDER BY alert_seq",
+            (campaign_id,),
+        )
         return [
             {
                 "slo": row[0],
@@ -503,127 +396,6 @@ class CampaignJournal:
             }
             for row in rows
         ]
-
-    # ------------------------------------------------------------------
-    # Worker lifecycle (sharded multi-process campaigns)
-    # ------------------------------------------------------------------
-    def record_worker_event(
-        self,
-        campaign_id: str,
-        worker: int,
-        shard: int,
-        kind: str,
-        detail: str = "",
-        t_wall: "float | None" = None,
-    ) -> None:
-        """Commit one worker lifecycle event (``spawn`` /
-        ``heartbeat-miss`` / ``crash`` / ``restart`` / ``shard-reassign``
-        / ``shard-done`` / ``shard-degraded``).
-
-        Each event is its own committed transaction, exactly like report
-        entries, so a SIGKILLed supervisor leaves a complete post-mortem
-        timeline: the whole worker history reconstructs from the journal
-        file alone.
-        """
-        import time as _time
-
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT INTO worker_events "
-                "(campaign_id, t_wall, worker, shard, kind, detail) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    t_wall if t_wall is not None else _time.time(),
-                    worker,
-                    shard,
-                    kind,
-                    detail,
-                ),
-            )
-
-    def worker_events(self, campaign_id: str) -> "list[dict]":
-        """The worker lifecycle timeline of one campaign, recording order."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT t_wall, worker, shard, kind, detail "
-                "FROM worker_events WHERE campaign_id = ? ORDER BY event_seq",
-                (campaign_id,),
-            ).fetchall()
-        return [
-            {
-                "t_wall": row[0],
-                "worker": row[1],
-                "shard": row[2],
-                "kind": row[3],
-                "detail": row[4],
-            }
-            for row in rows
-        ]
-
-    # ------------------------------------------------------------------
-    # Shard heartbeats (written by workers into their shard journal)
-    # ------------------------------------------------------------------
-    def record_shard_status(
-        self,
-        campaign_id: str,
-        shard: int,
-        worker: int,
-        pid: int,
-        attempt: int,
-        invocations: int,
-        phase: str,
-        stats: "dict | None" = None,
-        heartbeat_wall: "float | None" = None,
-    ) -> None:
-        """Commit the worker's current heartbeat row (last write wins).
-
-        The row carries the worker's full engine-stats snapshot: this is
-        how per-worker telemetry leaves the process without shared
-        memory — the supervisor merges the journaled snapshots at
-        checkpoint boundaries
-        (:func:`repro.engine.telemetry.merge_stats_snapshots`).
-        """
-        import time as _time
-
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO shard_status VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    shard,
-                    worker,
-                    pid,
-                    attempt,
-                    invocations,
-                    phase,
-                    heartbeat_wall if heartbeat_wall is not None else _time.time(),
-                    json.dumps(stats or {}, sort_keys=True),
-                ),
-            )
-
-    def shard_status(self, campaign_id: str, shard: int) -> "dict | None":
-        """The latest heartbeat row of one shard, or ``None``."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT worker, pid, attempt, invocations, phase, "
-                "heartbeat_wall, stats_json FROM shard_status "
-                "WHERE campaign_id = ? AND shard = ?",
-                (campaign_id, shard),
-            ).fetchone()
-        if row is None:
-            return None
-        return {
-            "shard": shard,
-            "worker": row[0],
-            "pid": row[1],
-            "attempt": row[2],
-            "invocations": row[3],
-            "phase": row[4],
-            "heartbeat_wall": row[5],
-            "stats": json.loads(row[6]),
-        }
 
     # ------------------------------------------------------------------
     # Match signatures (the signature-index build campaign, PR 9)
@@ -639,31 +411,26 @@ class CampaignJournal:
         journaled signatures and sketching only the remainder.  Re-adds
         replace (last write wins) — re-sketching a module is idempotent.
         """
-        payload = json.dumps(record, sort_keys=True)
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO match_signatures VALUES (?, ?, ?)",
-                (campaign_id, module_id, payload),
-            )
+        self._write(
+            "INSERT OR REPLACE INTO match_signatures VALUES (?, ?, ?)",
+            (campaign_id, module_id, json.dumps(record, sort_keys=True)),
+        )
 
     def signatures(self, campaign_id: str) -> "dict[str, dict]":
         """All journaled signature records of one campaign, by module id."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT module_id, signature_json FROM match_signatures "
-                "WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchall()
+        rows = self._query(
+            "SELECT module_id, signature_json FROM match_signatures "
+            "WHERE campaign_id = ?",
+            (campaign_id,),
+        )
         return {module_id: json.loads(payload) for module_id, payload in rows}
 
     def signature_count(self, campaign_id: str) -> int:
         """Journaled signatures of one campaign (cheap, no JSON parse)."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM match_signatures WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        return row[0]
+        return self._query(
+            "SELECT COUNT(*) FROM match_signatures WHERE campaign_id = ?",
+            (campaign_id,),
+        )[0][0]
 
     # ------------------------------------------------------------------
     def progress_counts(self, campaign_id: str) -> "dict[str, int]":
@@ -673,13 +440,13 @@ class CampaignJournal:
         journaled report JSON there would make sampling O(results), not
         O(1) queries.
         """
-        with self._lock:
-            rows = self._connection.execute(
+        counts = dict(
+            self._query(
                 "SELECT status, COUNT(*) FROM campaign_entries "
                 "WHERE campaign_id = ? GROUP BY status",
                 (campaign_id,),
-            ).fetchall()
-        counts = {status: count for status, count in rows}
+            )
+        )
         return {
             "n_done": counts.get("done", 0),
             "n_skipped": counts.get("skipped", 0),
@@ -687,12 +454,11 @@ class CampaignJournal:
 
     def entries(self, campaign_id: str) -> "dict[str, JournalEntry]":
         """All journaled entries of one campaign, keyed by module id."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT module_id, status, detail, report_json "
-                "FROM campaign_entries WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchall()
+        rows = self._query(
+            "SELECT module_id, status, detail, report_json "
+            "FROM campaign_entries WHERE campaign_id = ?",
+            (campaign_id,),
+        )
         entries: dict[str, JournalEntry] = {}
         for module_id, status, detail, report_json in rows:
             report = None

@@ -30,6 +30,7 @@ whole scheme crash-tolerant:
 from __future__ import annotations
 
 import os
+from typing import Iterable, Iterator
 
 from repro.campaign.journal import (
     COMPLETE,
@@ -40,6 +41,7 @@ from repro.campaign.journal import (
 )
 from repro.campaign.runner import CampaignResult
 from repro.core.generation import GenerationReport
+from repro.wal import fold_rows
 
 
 def shard_plan(module_ids: "list[str]", n_shards: int) -> "list[list[str]]":
@@ -154,26 +156,37 @@ def assemble_result(
 # ----------------------------------------------------------------------
 # Read-only worker views (CLI `campaign workers`, `top`, Prometheus)
 # ----------------------------------------------------------------------
+def shard_journals(
+    db_path: "str | os.PathLike", campaign_id: str, shards: "Iterable[int]"
+) -> "Iterator[tuple[int, str, CampaignJournal]]":
+    """Open each existing shard journal of ``shards`` in turn.
+
+    Yields ``(shard, shard campaign id, journal)`` and closes the
+    journal once the consumer moves on; a shard whose file does not
+    exist yet is skipped.  Every reader that walks a campaign's shard
+    journals goes through here.
+    """
+    for shard in shards:
+        path = shard_journal_path(db_path, shard)
+        if not os.path.exists(path):
+            continue
+        journal = CampaignJournal(path)
+        try:
+            yield shard, shard_campaign_id(campaign_id, shard), journal
+        finally:
+            journal.close()
+
+
 def shard_statuses(
     db_path: "str | os.PathLike", campaign_id: str, n_shards: int
 ) -> "list[dict | None]":
     """The latest heartbeat row of every shard (``None`` where a shard
     journal does not exist yet or holds no heartbeat)."""
-    statuses: "list[dict | None]" = []
-    for shard in range(n_shards):
-        path = shard_journal_path(db_path, shard)
-        if not os.path.exists(str(path)):
-            statuses.append(None)
-            continue
-        shard_journal = CampaignJournal(path)
-        try:
-            statuses.append(
-                shard_journal.shard_status(
-                    shard_campaign_id(campaign_id, shard), shard
-                )
-            )
-        finally:
-            shard_journal.close()
+    statuses: "list[dict | None]" = [None] * n_shards
+    for shard, cid, journal in shard_journals(
+        db_path, campaign_id, range(n_shards)
+    ):
+        statuses[shard] = journal.heartbeat(cid, shard)
     return statuses
 
 
@@ -188,7 +201,10 @@ def worker_rows(
 
     Everything is read from the journals alone — the supervisor may be
     alive in another process, or long dead — so ``repro-cli top`` and
-    ``campaign workers`` reconstruct the worker fleet post-mortem.
+    ``campaign workers`` reconstruct the worker fleet post-mortem.  The
+    shard journals' heartbeats fold with the main journal's events
+    (:func:`repro.wal.fold_rows`); a shard with a ``shard-degraded``
+    event reads ``degraded``, one without a heartbeat ``pending``.
 
     Args:
         db_path: The main journal file (shard paths derive from it).
@@ -205,71 +221,41 @@ def worker_rows(
             if meta is None:
                 meta = main.meta(campaign_id)
             if events is None:
-                events = main.worker_events(campaign_id)
+                events = main.events(campaign_id)
         finally:
             main.close()
-    config = meta.config or {}
-    n_shards = max(1, int(config.get("workers", 1) or 1))
-    heartbeat_timeout = float(config.get("heartbeat_timeout", 10.0) or 10.0)
-    plan = shard_plan(list(meta.module_ids), n_shards)
-    now = now if now is not None else _time.time()
-
-    restarts = [0] * n_shards
-    degraded = [False] * n_shards
-    for event in events:
-        if 0 <= event["shard"] < n_shards:
-            if event["kind"] == "restart":
-                restarts[event["shard"]] += 1
-            elif event["kind"] == "shard-degraded":
-                degraded[event["shard"]] = True
-
-    rows: "list[dict]" = []
-    for shard, status in enumerate(
-        shard_statuses(db_path, campaign_id, n_shards)
+    plan = shard_plan(list(meta.module_ids), meta.n_shards)
+    degraded = {
+        event["shard"] for event in events if event["kind"] == "shard-degraded"
+    }
+    statuses = [
+        {
+            "shard": shard,
+            "worker": shard,
+            "pid": 0,
+            "attempt": 0,
+            "phase": "pending",
+            "invocations": 0,
+            "heartbeat_wall": None,
+            "timeout": None,
+            "stats": {},
+            "n_planned": len(plan[shard]),
+            "n_done": 0,
+            "n_skipped": 0,
+        }
+        for shard in range(meta.n_shards)
+    ]
+    for shard, cid, journal in shard_journals(
+        db_path, campaign_id, range(meta.n_shards)
     ):
-        n_done = n_skipped = 0
-        path = shard_journal_path(db_path, shard)
-        if os.path.exists(str(path)):
-            shard_journal = CampaignJournal(path)
-            try:
-                counts = shard_journal.progress_counts(
-                    shard_campaign_id(campaign_id, shard)
-                )
-                n_done, n_skipped = counts["n_done"], counts["n_skipped"]
-            finally:
-                shard_journal.close()
-        heartbeat_age = (
-            max(0.0, now - status["heartbeat_wall"])
-            if status is not None
-            else None
-        )
-        phase = status["phase"] if status is not None else "pending"
-        if degraded[shard]:
-            phase = "degraded"
-        rows.append(
-            {
-                "shard": shard,
-                "worker": status["worker"] if status is not None else shard,
-                "pid": status["pid"] if status is not None else 0,
-                "attempt": status["attempt"] if status is not None else 0,
-                "phase": phase,
-                "invocations": (
-                    status["invocations"] if status is not None else 0
-                ),
-                "n_planned": len(plan[shard]),
-                "n_done": n_done,
-                "n_skipped": n_skipped,
-                "restarts": restarts[shard],
-                "heartbeat_age": heartbeat_age,
-                "alive": (
-                    phase == "running"
-                    and heartbeat_age is not None
-                    and heartbeat_age <= heartbeat_timeout
-                ),
-                "stats": status["stats"] if status is not None else {},
-            }
-        )
-    return rows
+        statuses[shard].update(journal.heartbeat(cid, shard) or {})
+        statuses[shard].update(journal.progress_counts(cid))
+    for status in statuses:
+        if status["shard"] in degraded:
+            status["phase"] = "degraded"
+    return fold_rows(
+        statuses, events, "shard", now if now is not None else _time.time()
+    )
 
 
 def merged_worker_stats(rows: "list[dict]") -> dict:

@@ -33,7 +33,6 @@ merged from the per-worker snapshots journaled at heartbeat boundaries.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable
 
@@ -48,7 +47,9 @@ from repro.campaign.sharding import (
     merge_shard_journal,
     shard_campaign_id,
     shard_journal_path,
+    shard_journals,
     shard_plan,
+    shard_statuses,
 )
 from repro.campaign.worker import shard_worker_main, worker_config
 from repro.obs.propagation import TraceContext, campaign_trace_id
@@ -182,25 +183,15 @@ class CampaignSupervisor:
             return shard_worker_main, spec, suffix
 
         def last_heartbeat(child: Child) -> "dict | None":
-            shard_path = shard_journal_path(self.db_path, child.slot)
-            if not os.path.exists(shard_path):
-                return None
-            shard_journal = CampaignJournal(shard_path)
-            try:
-                return shard_journal.shard_status(
-                    shard_campaign_id(campaign_id, child.slot), child.slot
-                )
-            finally:
-                shard_journal.close()
+            for shard, cid, shard_journal in shard_journals(
+                self.db_path, campaign_id, [child.slot]
+            ):
+                return shard_journal.heartbeat(cid, shard)
+            return None
 
         def record(child: Child, kind: str, detail: str, t_wall) -> None:
-            journal.record_worker_event(
-                campaign_id,
-                worker=child.worker,
-                shard=child.slot,
-                kind=kind,
-                detail=detail,
-                t_wall=t_wall,
+            journal.record_event(
+                campaign_id, child.slot, kind, detail, t_wall, child.worker
             )
 
         supervisor = Supervisor(
@@ -264,7 +255,6 @@ class CampaignSupervisor:
         """Fold the per-worker breaker snapshots (from the journaled
         heartbeat stats) into one per-provider view for the degradation
         manifest."""
-        from repro.campaign.sharding import shard_statuses
         from repro.engine.telemetry import merge_stats_snapshots
 
         statuses = shard_statuses(self.db_path, campaign_id, n_shards)

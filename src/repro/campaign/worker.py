@@ -11,8 +11,8 @@ respawned by the supervisor simply resumes where the journal left off.
 
 On top of the runner the worker adds exactly one thing: a heartbeat
 thread (:class:`repro.supervise.HeartbeatThread`) that commits a
-``shard_status`` row (phase, invocation count, and the full
-``engine.stats()`` snapshot) into the shard journal every
+heartbeat row (phase, invocation count, the full ``engine.stats()``
+snapshot, and the heartbeat timeout) into the shard journal every
 ``heartbeat_interval`` seconds.  The snapshot row is how per-worker
 telemetry leaves the process without any shared memory; the supervisor
 merges the journaled snapshots at checkpoint boundaries.  When the
@@ -109,19 +109,20 @@ def shard_worker_main(spec: dict) -> int:
 
         def beat(phase: str) -> None:
             """Commit the worker's liveness + telemetry row."""
-            journal.record_shard_status(
+            journal.record_heartbeat(
                 spec["campaign_id"],
                 spec["shard"],
+                phase,
                 worker=spec["worker"],
                 pid=os.getpid(),
                 attempt=spec["attempt"],
-                invocations=(
+                count=(
                     injector.invocations
                     if injector is not None
                     else engine.telemetry.snapshot()["counters"].get("calls", 0)
                 ),
-                phase=phase,
                 stats=engine.stats(),
+                timeout=config.heartbeat_timeout,
             )
 
         heartbeat = HeartbeatThread(
@@ -154,12 +155,12 @@ def shard_worker_main(spec: dict) -> int:
         finally:
             heartbeat.stop(final_phase="done")
         if profiler is not None:
-            journal.record_worker_event(
+            journal.record_event(
                 spec["campaign_id"],
+                spec["shard"],
+                PROFILE_EVENT_KIND,
+                json.dumps(profiler.stop(), sort_keys=True),
                 worker=spec["worker"],
-                shard=spec["shard"],
-                kind=PROFILE_EVENT_KIND,
-                detail=json.dumps(profiler.stop(), sort_keys=True),
             )
     finally:
         journal.close()

@@ -676,12 +676,11 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
     """Replica fleet status + lifecycle event timeline of a serving
     fleet, reconstructed from the shared state store alone — works while
     the supervisor is alive and post-mortem."""
-    import time as _time
-
-    from repro.serve import ServeStateStore, has_serve_state
+    from repro.serve import ServeStateStore
     from repro.serve.fleet import FLEET
+    from repro.wal import FLEET_SCOPE, has_fleet_state
 
-    if not has_serve_state(args.db):
+    if not has_fleet_state(args.db):
         print(
             f"error: no serving-fleet state in {args.db} "
             "(run `repro-cli serve --replicas N --db ...` first)",
@@ -690,10 +689,10 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         return 2
     store = ServeStateStore(args.db)
     try:
-        rows = store.replica_rows(
-            now=_time.time(), heartbeat_timeout=args.heartbeat_timeout
+        rows = store.slot_rows(
+            FLEET_SCOPE, heartbeat_timeout=args.heartbeat_timeout
         )
-        events = store.events()
+        events = store.events(FLEET_SCOPE)
         tenants = store.tenant_snapshot()
         reports = store.report_count()
         modules = len(store.module_ids())
@@ -708,7 +707,10 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "replicas": rows,
+                    "replicas": [
+                        {k: v for k, v in row.items() if k != "stats"}
+                        for row in rows
+                    ],
                     "events": events,
                     "tenants": tenants,
                     "reports": reports,
@@ -796,25 +798,25 @@ def _fleet_trace(args: argparse.Namespace) -> int:
 
     from repro.campaign import CampaignJournal
     from repro.obs.aggregate import (
-        collect_campaign_spans,
-        collect_serve_spans,
+        collect_spans,
         render_fleet_trace,
         spans_for_trace,
         trace_ids,
     )
     from repro.obs.propagation import campaign_trace_id, normalize_trace_id
+    from repro.wal import FLEET_SCOPE
 
     if not os.path.exists(args.db):
         print(f"error: no journal {args.db}", file=sys.stderr)
         return 2
-    spans = list(collect_serve_spans(args.db))
     journal = CampaignJournal(args.db)
     try:
         metas = journal.campaigns()
     finally:
         journal.close()
+    spans = collect_spans(args.db, FLEET_SCOPE)
     for meta in metas:
-        spans.extend(collect_campaign_spans(args.db, meta.campaign_id))
+        spans.extend(collect_spans(args.db, meta.campaign_id))
     known = trace_ids(spans)
     target = normalize_trace_id(args.campaign_id)
     if target not in known:
@@ -933,58 +935,42 @@ def cmd_top(args: argparse.Namespace) -> int:
 def _journaled_profiles(args: argparse.Namespace, kind: str) -> "list[dict]":
     """Load the profile dicts the fleet journaled at drain / shard end.
 
-    ``--serve`` reads the serve state store's event timeline;
-    ``--campaign`` reads the main journal's worker events plus every
-    derived shard journal's — the same discovery rule as span assembly.
+    ``--serve`` reads the fleet's event timeline; ``--campaign`` reads
+    the main journal's worker events plus every derived shard
+    journal's — the same discovery rule as span assembly.
     """
-    import json as _json
-    import os
+    from repro.wal import FLEET_SCOPE, WalStore, has_fleet_state
 
-    profiles: "list[dict]" = []
     if args.serve:
-        from repro.serve.state import ServeStateStore, has_serve_state
-
-        if not has_serve_state(args.db):
+        if not has_fleet_state(args.db):
             return []
-        store = ServeStateStore(args.db)
+        store = WalStore(args.db)
         try:
-            events = store.events()
+            events = store.events(FLEET_SCOPE)
         finally:
             store.close()
-        for event in events:
-            if event["kind"] == kind and event["detail"]:
-                profiles.append(_json.loads(event["detail"]))
-        return profiles
-    from repro.campaign import CampaignJournal, UnknownCampaignError
-    from repro.campaign.sharding import shard_campaign_id, shard_journal_path
+    else:
+        from repro.campaign import CampaignJournal, UnknownCampaignError
+        from repro.campaign.sharding import shard_journals
 
-    journal = CampaignJournal(args.db)
-    try:
+        journal = CampaignJournal(args.db)
         try:
-            meta = journal.meta(args.campaign)
-        except UnknownCampaignError:
-            return []
-        for event in journal.worker_events(args.campaign):
-            if event["kind"] == kind and event["detail"]:
-                profiles.append(_json.loads(event["detail"]))
-        n_shards = max(1, int((meta.config or {}).get("workers", 1) or 1))
-    finally:
-        journal.close()
-    for shard in range(n_shards):
-        path = shard_journal_path(args.db, shard)
-        if not os.path.exists(path):
-            continue
-        shard_journal = CampaignJournal(path)
-        try:
-            events = shard_journal.worker_events(
-                shard_campaign_id(args.campaign, shard)
-            )
+            try:
+                meta = journal.meta(args.campaign)
+            except UnknownCampaignError:
+                return []
+            events = journal.events(args.campaign)
         finally:
-            shard_journal.close()
-        for event in events:
-            if event["kind"] == kind and event["detail"]:
-                profiles.append(_json.loads(event["detail"]))
-    return profiles
+            journal.close()
+        for _, cid, shard_journal in shard_journals(
+            args.db, args.campaign, range(meta.n_shards)
+        ):
+            events.extend(shard_journal.events(cid))
+    return [
+        json.loads(event["detail"])
+        for event in events
+        if event["kind"] == kind and event["detail"]
+    ]
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -1267,11 +1253,10 @@ def cmd_campaign_workers(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        events = journal.worker_events(args.campaign_id)
+        events = journal.events(args.campaign_id)
     finally:
         journal.close()
-    workers = int((meta.config or {}).get("workers", 1) or 1)
-    if workers < 2:
+    if meta.n_shards < 2:
         print(
             f"error: campaign {args.campaign_id!r} was not sharded "
             "(ran with workers=1)",
@@ -1582,8 +1567,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f.add_argument("--db", required=True,
                    help="the fleet's shared state store (serve --db FILE)")
-    f.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                   help="heartbeat age past which a replica counts as down")
+    f.add_argument("--heartbeat-timeout", type=float, default=None,
+                   help="heartbeat age past which a replica counts as down "
+                        "(default: the timeout the fleet journaled)")
     f.add_argument("--json", action="store_true",
                    help="machine-readable fleet snapshot")
     f.add_argument("--prometheus", action="store_true",

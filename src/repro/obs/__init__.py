@@ -37,9 +37,8 @@ Fleet views, stitching one logical picture from many processes:
 
 from repro.obs.aggregate import (
     MetricsAggregator,
-    collect_campaign_spans,
     collect_fleet_spans,
-    collect_serve_spans,
+    collect_spans,
     merge_http_snapshots,
     render_fleet_trace,
     span_trace_id,
@@ -153,9 +152,8 @@ __all__ = [
     "parse_traceparent",
     "propagation_scope",
     "MetricsAggregator",
-    "collect_campaign_spans",
     "collect_fleet_spans",
-    "collect_serve_spans",
+    "collect_spans",
     "merge_http_snapshots",
     "render_fleet_trace",
     "span_trace_id",

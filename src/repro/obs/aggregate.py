@@ -1,23 +1,24 @@
 """Fleet aggregation: one trace, one scrape, from many journals.
 
 The fleet's observability raw material is scattered by design — every
-replica commits spans and stats snapshots into the shared
-:class:`~repro.serve.state.ServeStateStore`, every shard worker
-heartbeats its ``engine.stats()`` into its own WAL journal and records
-spans under its shard campaign id.  Nothing here talks to a live
-process: both halves of this module are pure functions of journal
-files, so the fleet view works while the fleet runs *and* after any —
-or every — process was SIGKILLed.
+replica commits spans and heartbeats (with its stats snapshot) into the
+shared :class:`~repro.serve.state.ServeStateStore` under the fleet
+scope, every shard worker heartbeats its ``engine.stats()`` into its
+own WAL journal and records spans under its shard campaign id.
+Nothing here talks to a live process: both halves of this module are
+pure functions of journal files, so the fleet view works while the
+fleet runs *and* after any — or every — process was SIGKILLed.
 
-**Trace assembly.**  :func:`collect_fleet_spans` gathers span trees
-from a serve-state file and/or a campaign journal (main + derived
-shard journals); :func:`spans_for_trace` selects one logical trace by
-the propagated ``trace_id`` attribute
-(:mod:`repro.obs.propagation`); :func:`render_fleet_trace` renders it
-hop by hop.  One caveat is structural: ``start_ms`` is measured on
-each *process's own* monotonic origin, so spans order within a hop but
-not across hops — the rendering groups by ``(process_role,
-process_id)`` instead of pretending the clocks align.
+**Trace assembly.**  :func:`collect_spans` gathers the span trees of
+one scope: the fleet's replicas, or one campaign's supervisor and
+derived shard journals; :func:`collect_fleet_spans` joins both;
+:func:`spans_for_trace` selects one logical trace by the propagated
+``trace_id`` attribute (:mod:`repro.obs.propagation`);
+:func:`render_fleet_trace` renders it hop by hop.  One caveat is
+structural: ``start_ms`` is measured on each *process's own* monotonic
+origin, so spans order within a hop but not across hops — the
+rendering groups by ``(process_role, process_id)`` instead of
+pretending the clocks align.
 
 **Metric folding.**  :class:`MetricsAggregator` builds one fleet-level
 stats snapshot: engine sections folded with
@@ -39,7 +40,7 @@ from typing import Callable
 
 from repro.engine.telemetry import LatencyHistogram, merge_stats_snapshots
 from repro.obs.tracing import Span
-from repro.wal import has_table
+from repro.wal import FLEET_SCOPE, WalStore, has_fleet_state
 
 #: Sections of a journaled replica stats snapshot that are *not* engine
 #: telemetry and must not be handed to ``merge_stats_snapshots``.
@@ -63,65 +64,50 @@ def _stamp(span: Span, role: str, process_id) -> Span:
     return span
 
 
-def collect_serve_spans(state_db: str) -> "list[Span]":
-    """Every replica span tree in a serve-state file, recording order."""
-    from repro.serve.state import ServeStateStore
+def collect_spans(db: "str | None", scope: str) -> "list[Span]":
+    """Every span tree journaled under ``scope`` in ``db``, recording
+    order, each stamped with the process that recorded it.
 
-    # Opening a ServeStateStore creates the serve schema, so probe first
-    # rather than graft serve tables onto a file that is only a campaign
-    # journal.  A store holding only spans is still readable.
-    if not has_table(state_db, "serve_spans"):
-        return []
-    store = ServeStateStore(state_db)
-    try:
-        spans = []
-        for data in store.spans():
-            replica = data.pop("_replica", None)
-            spans.append(_stamp(Span.from_dict(data), "replica", replica))
-        return spans
-    finally:
-        store.close()
-
-
-def collect_campaign_spans(
-    journal_db: str, campaign_id: str
-) -> "list[Span]":
-    """Every span tree of one campaign: the main journal plus every
-    derived shard journal (``<db>.shard-NN`` under
-    ``<campaign_id>::shard-NN``), exactly the discovery rule the
-    sharded merge uses — missing shard files contribute nothing."""
+    Under :data:`~repro.wal.FLEET_SCOPE` these are the replicas' spans.
+    Under a campaign id they are the supervisor's spans plus every
+    derived shard journal's (``<db>.shard-NN`` under
+    ``<campaign_id>::shard-NN``), the discovery rule the sharded merge
+    uses.  A missing file or an unknown campaign collects nothing.
+    """
     from repro.campaign.journal import CampaignJournal, UnknownCampaignError
-    from repro.campaign.sharding import shard_campaign_id, shard_journal_path
+    from repro.campaign.sharding import shard_journals
 
-    if not journal_db or not os.path.exists(str(journal_db)):
+    if not db or not os.path.exists(str(db)):
         return []
-    journal = CampaignJournal(journal_db)
+    if scope == FLEET_SCOPE:
+        store = WalStore(db)
+        try:
+            spans = store.spans(FLEET_SCOPE)
+        finally:
+            store.close()
+        return [
+            _stamp(Span.from_dict(data), "replica", data.pop("_replica", None))
+            for data in spans
+        ]
+    journal = CampaignJournal(db)
     try:
         try:
-            meta = journal.meta(campaign_id)
+            meta = journal.meta(scope)
         except UnknownCampaignError:
             return []
         spans = [
             _stamp(Span.from_dict(data), "supervisor", None)
-            for data in journal.spans(campaign_id)
+            for data in journal.spans(scope)
         ]
-        n_shards = max(1, int((meta.config or {}).get("workers", 1) or 1))
     finally:
         journal.close()
-    for shard in range(n_shards):
-        path = shard_journal_path(journal_db, shard)
-        if not os.path.exists(str(path)):
-            continue
-        shard_journal = CampaignJournal(path)
-        try:
-            for data in shard_journal.spans(
-                shard_campaign_id(campaign_id, shard)
-            ):
-                spans.append(
-                    _stamp(Span.from_dict(data), "shard-worker", shard)
-                )
-        finally:
-            shard_journal.close()
+    for shard, cid, shard_journal in shard_journals(
+        db, scope, range(meta.n_shards)
+    ):
+        spans.extend(
+            _stamp(Span.from_dict(data), "shard-worker", shard)
+            for data in shard_journal.spans(cid)
+        )
     return spans
 
 
@@ -131,11 +117,9 @@ def collect_fleet_spans(
     campaign_id: "str | None" = None,
 ) -> "list[Span]":
     """All journaled spans of the fleet: replicas + campaign processes."""
-    spans: "list[Span]" = []
-    if state_db:
-        spans.extend(collect_serve_spans(state_db))
-    if journal_db and campaign_id:
-        spans.extend(collect_campaign_spans(journal_db, campaign_id))
+    spans = collect_spans(state_db, FLEET_SCOPE)
+    if campaign_id:
+        spans.extend(collect_spans(journal_db, campaign_id))
     return spans
 
 
@@ -373,25 +357,17 @@ class MetricsAggregator:
         self._wall = wall_clock
 
     # ------------------------------------------------------------------
-    def _replica_sources(self) -> "tuple[list[dict], list[dict]]":
-        """``(per-replica stats snapshots, replica gauge rows)``."""
+    def _replica_sources(self) -> "list[dict]":
+        """Replica gauge rows (their stats snapshots ride inside)."""
         store = self._state
-        opened = False
-        if store is None and has_table(self._state_db, "serve_spans"):
-            from repro.serve.state import ServeStateStore
-
-            store = ServeStateStore(self._state_db)
-            opened = True
         if store is None:
-            return [], []
+            if not has_fleet_state(self._state_db):
+                return []
+            store = WalStore(self._state_db)
         try:
-            stats = [
-                snapshot for _, snapshot in sorted(store.replica_stats().items())
-            ]
-            rows = store.replica_rows(now=self._wall())
-            return stats, rows
+            return store.slot_rows(FLEET_SCOPE, now=self._wall())
         finally:
-            if opened:
+            if store is not self._state:
                 store.close()
 
     def _worker_sources(self) -> "list[dict]":
@@ -413,7 +389,8 @@ class MetricsAggregator:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """The folded fleet snapshot, ``render_prometheus`` shaped."""
-        replica_stats, replica_rows = self._replica_sources()
+        replica_rows = self._replica_sources()
+        replica_stats = [row["stats"] for row in replica_rows if row["stats"]]
         workers = self._worker_sources()
         engine_snapshots = list(replica_stats) + [
             row["stats"] for row in workers
@@ -446,9 +423,8 @@ class MetricsAggregator:
 
 __all__ = [
     "MetricsAggregator",
-    "collect_campaign_spans",
     "collect_fleet_spans",
-    "collect_serve_spans",
+    "collect_spans",
     "merge_http_snapshots",
     "render_fleet_trace",
     "span_trace_id",

@@ -29,6 +29,7 @@ import time
 
 from repro.obs.slo import FIRING, alert_states
 from repro.obs.timeseries import sample_rates
+from repro.wal import FLEET_SCOPE
 
 #: Frame width the progress bar is fitted to when the terminal size
 #: cannot be measured.
@@ -102,7 +103,7 @@ def render_dashboard(
             (:func:`repro.campaign.sharding.worker_rows`), or None for
             a serial run.
         replicas: Serving-fleet replica rows
-            (:meth:`repro.serve.state.ServeStateStore.replica_rows`)
+            (:meth:`repro.wal.WalStore.slot_rows` under the fleet scope)
             when the journal also carries fleet state, or None.
     """
     planned = len(meta.module_ids)
@@ -297,25 +298,18 @@ class Dashboard:
         samples = self.journal.snapshots(self.campaign_id)
         alerts = self.journal.alerts(self.campaign_id)
         workers = None
-        if int((meta.config or {}).get("workers", 1) or 1) > 1:
+        if meta.n_shards > 1:
             # Imported lazily: obs must not depend on campaign at import
             # time (campaign imports obs for drift/SLO evaluation).
             from repro.campaign.sharding import worker_rows
 
-            events = self.journal.worker_events(self.campaign_id)
+            events = self.journal.events(self.campaign_id)
             workers = worker_rows(
                 self.journal.path, self.campaign_id, meta=meta, events=events
             )
-        replicas = None
-        # Same lazy-import rule: serve imports obs, not the reverse.
-        from repro.serve.state import ServeStateStore, has_serve_state
-
-        if has_serve_state(self.journal.path):
-            store = ServeStateStore(self.journal.path)
-            try:
-                replicas = store.replica_rows()
-            finally:
-                store.close()
+        # The journal is a WalStore: a fleet sharing its file is read in
+        # place, judged by the timeout its heartbeats journal.
+        replicas = self.journal.slot_rows(FLEET_SCOPE) or None
         return render_dashboard(
             meta,
             progress,

@@ -49,7 +49,7 @@ Metric naming follows the Prometheus conventions:
 ``repro_serve_replica_*{replica=...}``
     The serving-fleet replicas (liveness, requests served, restarts,
     heartbeat age), present when the snapshot carries a ``replicas``
-    section of :meth:`repro.serve.state.ServeStateStore.replica_rows`
+    section of :meth:`repro.wal.WalStore.slot_rows` (fleet scope)
     rows (``repro-cli serve fleet --prometheus``).
 """
 

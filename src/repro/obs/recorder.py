@@ -2,8 +2,9 @@
 
 A campaign's journal (PR 2) already makes *results* crash-safe; the
 flight recorder does the same for *observations*.  Wired as the tracer's
-sink, it commits every completed span tree into the journal's
-``campaign_spans`` table the moment the invocation finishes — its own
+sink, it commits every completed span tree into the journal's span
+records (:meth:`repro.wal.WalStore.record_span`) the moment the
+invocation finishes — its own
 transaction, exactly like report entries — so a SIGKILLed campaign
 leaves a complete timeline of everything that ran before the kill, and
 ``repro-cli trace`` reconstructs it from the journal file alone.

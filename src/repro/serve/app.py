@@ -29,7 +29,7 @@ written to the structured access log, and attached ambiently to every
 engine span opened on its behalf
 (:func:`repro.obs.propagation.propagation_scope`), together with this
 process's ``(process_role, process_id)``.  In a fleet, every completed
-span tree is also committed to the shared ``serve_spans`` table, so
+span tree is also committed to the shared store under the fleet scope, so
 ``repro-cli trace ID --fleet`` reconstructs the request across replicas
 from the journal alone.
 
@@ -85,6 +85,7 @@ from repro.serve.service import (
     UnknownModuleError,
     UnregisteredModuleError,
 )
+from repro.wal import FLEET_SCOPE
 
 #: Requests recorded in the in-memory access-log ring.
 ACCESS_LOG_CAPACITY = 1024
@@ -217,9 +218,9 @@ class AnnotationServer:
             replica=self.config.replica,
         )
         # The fleet flight recorder: with durable state attached, every
-        # completed engine span tree is committed to the shared
-        # ``serve_spans`` table — the campaign flight recorder's
-        # discipline, keyed by replica — so fleet trace assembly reads
+        # completed engine span tree is committed to the shared store
+        # under the fleet scope — the campaign flight recorder's
+        # discipline, slotted by replica — so fleet trace assembly reads
         # journals alone.  Standalone servers (no state store) keep the
         # in-memory ring only, exactly as before.
         tracer = getattr(self.service.engine, "tracer", None)
@@ -228,7 +229,7 @@ class AnnotationServer:
             replica = self.config.replica if self.config.replica is not None else 0
 
             def _record_replica_span(span, _state=state, _replica=replica):
-                _state.record_span(_replica, span.to_dict())
+                _state.record_span(FLEET_SCOPE, span.to_dict(), _replica)
 
             tracer.sink = _record_replica_span
         # Graceful-drain machinery: a draining server answers in-flight

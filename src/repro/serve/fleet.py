@@ -17,8 +17,7 @@ same supervisor as the sharded campaign (:mod:`repro.supervise`):
   (any exit: replicas are meant to serve until drained) or went
   heartbeat-mute is killed and respawned with exponential backoff, up
   to ``max_restarts`` times; every lifecycle event lands in the store's
-  ``serve_events`` timeline for the ``repro-cli serve fleet``
-  post-mortem.
+  fleet-scoped timeline for the ``repro-cli serve fleet`` post-mortem.
 * **Graceful drain.**  SIGTERM (or :meth:`ServeSupervisor.drain`)
   walks every replica through :meth:`AnnotationServer.drain`: stop
   accepting, answer everything in flight under the drain deadline,
@@ -64,6 +63,7 @@ from repro.supervise import (
     HeartbeatThread,
     Supervisor,
 )
+from repro.wal import FLEET_SCOPE
 
 #: Replica index used for fleet-level (not per-replica) timeline events.
 FLEET = -1
@@ -137,7 +137,7 @@ def serve_replica_main(spec: dict) -> int:
         spec: ``{"replica", "attempt", "serve_config" (ServeConfig
             dict; concrete port, ``reuse_port=True``), "service"
             (AnnotationService kwargs), "heartbeat_interval",
-            "drain_timeout"}``.
+            "heartbeat_timeout", "drain_timeout"}``.
 
     Returns:
         0 after a graceful drain; the process never returns from a
@@ -167,24 +167,30 @@ def serve_replica_main(spec: dict) -> int:
     profiler = maybe_start_profiler()
     started_wall = time.time()
 
+    # The full stats snapshot rides every beat (last write wins, like
+    # shard heartbeats): this is how per-replica telemetry leaves the
+    # process, and what the supervisor's fleet /metrics fold
+    # (MetricsAggregator) reads back — journals alone, no shared memory,
+    # no live scrape of each replica.  The final row after the drain
+    # (the server has closed its store by then) keeps the last beat's.
+    stats: dict = {}
+
     def record(store: ServeStateStore, phase: str) -> None:
-        store.record_replica(
+        store.record_heartbeat(
+            FLEET_SCOPE,
             replica,
+            phase,
             pid=os.getpid(),
             attempt=attempt,
-            phase=phase,
-            requests_total=server.metrics.snapshot()["requests_total"],
+            count=server.metrics.snapshot()["requests_total"],
+            stats=stats,
             started_wall=started_wall,
+            timeout=spec["heartbeat_timeout"],
         )
 
     def beat(phase: str) -> None:
+        stats.update(server.stats())
         record(store, phase)
-        # The full stats snapshot rides every beat (last write wins,
-        # like shard heartbeats): this is how per-replica telemetry
-        # leaves the process, and what the supervisor's fleet /metrics
-        # fold (MetricsAggregator) reads back — journals alone, no
-        # shared memory, no live scrape of each replica.
-        store.record_replica_stats(replica, server.stats())
 
     booting = stop.is_set()
     if not booting:
@@ -200,6 +206,7 @@ def serve_replica_main(spec: dict) -> int:
         stop.wait()
         heartbeat.stop()
     store.record_event(
+        FLEET_SCOPE,
         replica,
         "drain",
         f"pid {os.getpid()} "
@@ -211,9 +218,10 @@ def serve_replica_main(spec: dict) -> int:
     final = ServeStateStore(config.state_db)
     try:
         record(final, phase)
-        final.record_event(replica, phase, f"pid {os.getpid()}")
+        final.record_event(FLEET_SCOPE, replica, phase, f"pid {os.getpid()}")
         if profiler is not None:
             final.record_event(
+                FLEET_SCOPE,
                 replica,
                 PROFILE_EVENT_KIND,
                 json.dumps(profiler.stop(), sort_keys=True),
@@ -302,9 +310,9 @@ class ServeSupervisor:
             fleet,
             REPLICA_POLICY,
             self._launch,
-            lambda child: self.store.replica_status(child.slot),
+            lambda child: self.store.heartbeat(FLEET_SCOPE, child.slot),
             lambda child, kind, detail, t_wall: self.store.record_event(
-                child.slot, kind, detail, t_wall=t_wall
+                FLEET_SCOPE, child.slot, kind, detail, t_wall
             ),
             name="repro-replica",
             wall_clock=wall_clock,
@@ -327,6 +335,7 @@ class ServeSupervisor:
             for module in default_catalog():
                 self.store.register_module(module.module_id)
         self.store.record_event(
+            FLEET_SCOPE,
             FLEET,
             "fleet-start",
             f"{self.fleet.replicas} replicas on {self.host}:{self.port}"
@@ -350,6 +359,7 @@ class ServeSupervisor:
                 aggregator, host=self.host, port=self.fleet.metrics_port
             ).start()
             self.store.record_event(
+                FLEET_SCOPE,
                 FLEET,
                 "metrics-start",
                 f"fleet /metrics on {self.metrics_server.host}:"
@@ -375,6 +385,7 @@ class ServeSupervisor:
             "serve_config": serve_config,
             "service": service,
             "heartbeat_interval": self.fleet.heartbeat_interval,
+            "heartbeat_timeout": self.fleet.heartbeat_timeout,
             "drain_timeout": self.fleet.drain_timeout,
         }
         return serve_replica_main, spec, ", chaos armed" if armed else ""
@@ -391,9 +402,7 @@ class ServeSupervisor:
 
     def healthy_replicas(self) -> int:
         """Replicas currently running with a fresh journaled heartbeat."""
-        rows = self.store.replica_rows(
-            now=self._wall(), heartbeat_timeout=self.fleet.heartbeat_timeout
-        )
+        rows = self.store.slot_rows(FLEET_SCOPE, now=self._wall())
         live = {
             child.slot: child.attempt
             for child in self._supervisor.children
@@ -424,7 +433,7 @@ class ServeSupervisor:
             True when every replica came back with a fresh heartbeat
             inside ``settle_timeout`` seconds.
         """
-        self.store.record_event(FLEET, "rolling-restart", "begin")
+        self.store.record_event(FLEET_SCOPE, FLEET, "rolling-restart", "begin")
         ok = True
         for child in self._supervisor.children:
             if child.degraded:
@@ -433,7 +442,7 @@ class ServeSupervisor:
             self._supervisor.spawn(child, "rolling-restart")
             deadline = self._wall() + settle_timeout
             while self._wall() < deadline:
-                status = self.store.replica_status(child.slot)
+                status = self.store.heartbeat(FLEET_SCOPE, child.slot)
                 if (
                     status is not None
                     and status["attempt"] == child.attempt
@@ -444,7 +453,8 @@ class ServeSupervisor:
             else:
                 ok = False
         self.store.record_event(
-            FLEET, "rolling-restart", "complete" if ok else "timed out"
+            FLEET_SCOPE, FLEET, "rolling-restart",
+            "complete" if ok else "timed out",
         )
         return ok
 
@@ -464,6 +474,7 @@ class ServeSupervisor:
             process.join(timeout=max(0.0, deadline - self._wall()))
             if process.is_alive():
                 self.store.record_event(
+                    FLEET_SCOPE,
                     child.slot,
                     "drain-kill",
                     f"pid {process.pid} did not drain in "
@@ -487,10 +498,10 @@ class ServeSupervisor:
         Returns:
             True when every replica drained gracefully.
         """
-        self.store.record_event(FLEET, "fleet-drain", "begin")
+        self.store.record_event(FLEET_SCOPE, FLEET, "fleet-drain", "begin")
         graceful = self._terminate(self._supervisor.children)
         self.store.record_event(
-            FLEET, "fleet-stop",
+            FLEET_SCOPE, FLEET, "fleet-stop",
             "all replicas drained" if graceful else "drain incomplete",
         )
         if self.metrics_server is not None:

@@ -250,12 +250,12 @@ class TestWorkerJournal:
         journal = CampaignJournal(tmp_path / "events.sqlite")
         try:
             journal.create("c", 1, ["m"], {})
-            journal.record_worker_event("c", worker=0, shard=0, kind="spawn")
-            journal.record_worker_event(
-                "c", worker=0, shard=0, kind="crash", detail="exit code 137"
+            journal.record_event("c", 0, "spawn", worker=0)
+            journal.record_event(
+                "c", 0, "crash", "exit code 137", worker=0
             )
-            journal.record_worker_event("c", worker=1, shard=0, kind="restart")
-            events = journal.worker_events("c")
+            journal.record_event("c", 0, "restart", worker=1)
+            events = journal.events("c")
         finally:
             journal.close()
         assert [e["kind"] for e in events] == ["spawn", "crash", "restart"]
@@ -266,16 +266,16 @@ class TestWorkerJournal:
         journal = CampaignJournal(tmp_path / "status.sqlite")
         try:
             journal.create("c", 1, ["m"], {})
-            journal.record_shard_status(
-                "c", 0, worker=0, pid=100, attempt=1, invocations=3,
+            journal.record_heartbeat(
+                "c", 0, worker=0, pid=100, attempt=1, count=3,
                 phase="running", stats={"counters": {"calls": 3}},
             )
-            journal.record_shard_status(
-                "c", 0, worker=2, pid=200, attempt=2, invocations=7,
+            journal.record_heartbeat(
+                "c", 0, worker=2, pid=200, attempt=2, count=7,
                 phase="done", stats={"counters": {"calls": 7}},
             )
-            status = journal.shard_status("c", 0)
-            assert journal.shard_status("c", 9) is None
+            status = journal.heartbeat("c", 0)
+            assert journal.heartbeat("c", 9) is None
         finally:
             journal.close()
         assert status["worker"] == 2
@@ -309,10 +309,10 @@ class TestWorkerRows:
             journal.create(
                 "c", 1, ["m1", "m2"], {"workers": 2, "heartbeat_timeout": 5.0}
             )
-            journal.record_worker_event("c", worker=0, shard=0, kind="spawn")
-            journal.record_worker_event("c", worker=2, shard=0, kind="restart")
-            journal.record_worker_event(
-                "c", worker=2, shard=0, kind="shard-degraded"
+            journal.record_event("c", 0, "spawn", worker=0)
+            journal.record_event("c", 0, "restart", worker=2)
+            journal.record_event(
+                "c", 0, "shard-degraded", worker=2
             )
         finally:
             journal.close()
@@ -320,8 +320,8 @@ class TestWorkerRows:
         try:
             cid = shard_campaign_id("c", 0)
             shard0.create(cid, 1, ["m1"], {})
-            shard0.record_shard_status(
-                cid, 0, worker=2, pid=42, attempt=2, invocations=5,
+            shard0.record_heartbeat(
+                cid, 0, worker=2, pid=42, attempt=2, count=5,
                 phase="running", stats={"counters": {"calls": 5}},
                 heartbeat_wall=99.0,
             )

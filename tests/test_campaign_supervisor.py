@@ -49,7 +49,7 @@ def module_ids(catalog):
 def _event_kinds(db, campaign_id):
     journal = CampaignJournal(db)
     try:
-        return [e["kind"] for e in journal.worker_events(campaign_id)]
+        return [e["kind"] for e in journal.events(campaign_id)]
     finally:
         journal.close()
 

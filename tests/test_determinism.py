@@ -54,6 +54,23 @@ print(len(result.reports), result.digest())
 """
 
 
+_SHARDED_SNIPPET = """
+import tempfile
+from repro.campaign import CampaignConfig, CampaignSupervisor, build_world
+ctx, catalog, pool = build_world()
+with tempfile.TemporaryDirectory() as tmp:
+    result = CampaignSupervisor(
+        tmp + "/c.sqlite",
+        [module.module_id for module in catalog],
+        CampaignConfig(workers=4),
+    ).run("c")
+print(len(result.reports), result.digest())
+"""
+
+#: The whole-catalog campaign digest (serial and sharded alike).
+CATALOG_DIGEST = "72432d489fae80825d2557a493d283e829bb6ed7ec3fe34baf0bd85080c310fd"
+
+
 @pytest.mark.slow
 class TestCrossProcessDeterminism:
     def test_pool_identical_across_hash_seeds(self):
@@ -74,6 +91,14 @@ class TestCrossProcessDeterminism:
         second = _run_snippet(_CAMPAIGN_SNIPPET, "1")
         assert first.split()[0] == "252"
         assert first == second
+
+    def test_sharded_campaign_digest_matches_serial_across_hash_seeds(self):
+        # Spawned shard workers inherit the hash seed, so each run is
+        # sharded end to end under one seed.
+        for hash_seed in ("0", "1"):
+            assert _run_snippet(_SHARDED_SNIPPET, hash_seed).split() == [
+                "252", CATALOG_DIGEST,
+            ]
 
 
 class TestInProcessDeterminism:

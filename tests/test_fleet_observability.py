@@ -40,6 +40,7 @@ from repro.serve import (
     ServeConfig,
     ServeSupervisor,
 )
+from repro.wal import FLEET_SCOPE
 
 CAMPAIGN = "fleetobs"
 TRACE = campaign_trace_id(CAMPAIGN)
@@ -107,7 +108,8 @@ def fleet_world(tmp_path_factory, catalog):
 
             def replicas_with_spans():
                 return {
-                    span["_replica"] for span in supervisor.store.spans()
+                    span["_replica"]
+                    for span in supervisor.store.spans(FLEET_SCOPE)
                 }
 
             deadline = time.time() + 60.0
@@ -266,7 +268,7 @@ class TestUnifiedScrape:
             # snapshot that has seen the traffic.
             _wait(
                 supervisor,
-                lambda: len(supervisor.store.replica_stats()) == 2,
+                lambda: len(supervisor.store.heartbeats(FLEET_SCOPE)) == 2,
                 message="both replicas journaled stats",
             )
             time.sleep(0.5)  # one more beat: snapshots include the calls
@@ -280,7 +282,8 @@ class TestUnifiedScrape:
                 [
                     snapshot
                     for _, snapshot in sorted(
-                        supervisor.store.replica_stats().items()
+                        (row["replica"], row["stats"])
+                        for row in supervisor.store.heartbeats(FLEET_SCOPE)
                     )
                 ]
             )
@@ -333,7 +336,7 @@ class TestFleetProfiles:
                 shard_journal_path(fleet_world["db"], shard)
             )
             try:
-                events = journal.worker_events(
+                events = journal.events(
                     shard_campaign_id(CAMPAIGN, shard)
                 )
             finally:
@@ -353,7 +356,7 @@ class TestFleetProfiles:
         store = ServeStateStore(fleet_world["db"])
         try:
             profiles = [
-                event for event in store.events()
+                event for event in store.events(FLEET_SCOPE)
                 if event["kind"] == PROFILE_EVENT_KIND
             ]
         finally:

@@ -13,9 +13,8 @@ import pytest
 from repro.engine.telemetry import merge_stats_snapshots
 from repro.obs.aggregate import (
     MetricsAggregator,
-    collect_campaign_spans,
     collect_fleet_spans,
-    collect_serve_spans,
+    collect_spans,
     merge_http_snapshots,
     render_fleet_trace,
     span_trace_id,
@@ -24,6 +23,7 @@ from repro.obs.aggregate import (
 )
 from repro.obs.tracing import Span
 from repro.serve.state import ServeStateStore
+from repro.wal import FLEET_SCOPE
 
 TRACE = "ab" * 16
 
@@ -54,34 +54,37 @@ class TestServeSpanStore:
     def test_spans_roundtrip_with_replica_annotation(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
         try:
-            store.record_span(0, _span_dict(module_id="a"))
-            store.record_span(1, _span_dict(module_id="b"))
-            rows = store.spans()
+            store.record_span(FLEET_SCOPE, _span_dict(module_id="a"), 0)
+            store.record_span(FLEET_SCOPE, _span_dict(module_id="b"), 1)
+            rows = store.spans(FLEET_SCOPE)
             assert [row["_replica"] for row in rows] == [0, 1]
             assert [row["module_id"] for row in rows] == ["a", "b"]
-            assert store.span_count() == 2
+            assert store.span_count(FLEET_SCOPE) == 2
         finally:
             store.close()
 
     def test_spans_filter_by_replica_and_module(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
         try:
-            store.record_span(0, _span_dict(module_id="a"))
-            store.record_span(1, _span_dict(module_id="a"))
-            store.record_span(1, _span_dict(module_id="b"))
-            assert len(store.spans(replica=1)) == 2
-            assert len(store.spans(module_id="a")) == 2
-            assert len(store.spans(replica=1, module_id="b")) == 1
+            store.record_span(FLEET_SCOPE, _span_dict(module_id="a"), 0)
+            store.record_span(FLEET_SCOPE, _span_dict(module_id="a"), 1)
+            store.record_span(FLEET_SCOPE, _span_dict(module_id="b"), 1)
+            assert len(store.spans(FLEET_SCOPE, slot=1)) == 2
+            assert len(store.spans(FLEET_SCOPE, module_id="a")) == 2
+            assert len(store.spans(FLEET_SCOPE, slot=1, module_id="b")) == 1
         finally:
             store.close()
 
     def test_replica_stats_upsert(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
         try:
-            store.record_replica_stats(0, {"counters": {"calls": 1}})
-            store.record_replica_stats(0, {"counters": {"calls": 5}})
-            store.record_replica_stats(1, {"counters": {"calls": 2}})
-            stats = store.replica_stats()
+            store.record_heartbeat(FLEET_SCOPE, 0, stats={"counters": {"calls": 1}})
+            store.record_heartbeat(FLEET_SCOPE, 0, stats={"counters": {"calls": 5}})
+            store.record_heartbeat(FLEET_SCOPE, 1, stats={"counters": {"calls": 2}})
+            stats = {
+                row["replica"]: row["stats"]
+                for row in store.heartbeats(FLEET_SCOPE)
+            }
             assert stats[0]["counters"]["calls"] == 5
             assert stats[1]["counters"]["calls"] == 2
         finally:
@@ -90,13 +93,13 @@ class TestServeSpanStore:
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "s.db"
         store = ServeStateStore(path)
-        store.record_span(0, _span_dict())
-        store.record_replica_stats(0, {"counters": {"calls": 3}})
+        store.record_span(FLEET_SCOPE, _span_dict(), 0)
+        store.record_heartbeat(FLEET_SCOPE, 0, stats={"counters": {"calls": 3}})
         store.close()
         reopened = ServeStateStore(path)
         try:
-            assert reopened.span_count() == 1
-            assert reopened.replica_stats()[0]["counters"]["calls"] == 3
+            assert reopened.span_count(FLEET_SCOPE) == 1
+            assert reopened.heartbeat(FLEET_SCOPE, 0)["stats"]["counters"]["calls"] == 3
         finally:
             reopened.close()
 
@@ -107,36 +110,36 @@ class TestServeSpanStore:
 class TestCollection:
     def test_serve_spans_are_stamped_with_replica_identity(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
-        store.record_span(2, _span_dict())
+        store.record_span(FLEET_SCOPE, _span_dict(), 2)
         store.close()
-        spans = collect_serve_spans(str(tmp_path / "s.db"))
+        spans = collect_spans(str(tmp_path / "s.db"), FLEET_SCOPE)
         assert len(spans) == 1
         assert spans[0].attributes["process_role"] == "replica"
         assert spans[0].attributes["process_id"] == 2
 
     def test_missing_file_collects_nothing(self, tmp_path):
-        assert collect_serve_spans(str(tmp_path / "nope.db")) == []
-        assert collect_campaign_spans(str(tmp_path / "nope.db"), "c") == []
+        assert collect_spans(str(tmp_path / "nope.db"), FLEET_SCOPE) == []
+        assert collect_spans(str(tmp_path / "nope.db"), "c") == []
         assert collect_fleet_spans() == []
 
     def test_campaign_journal_without_serve_state_is_not_mutated(self, tmp_path):
         from repro.campaign.journal import CampaignJournal
-        from repro.serve.state import has_serve_state
+        from repro.wal import has_fleet_state
 
         path = tmp_path / "c.db"
         journal = CampaignJournal(path)
         journal.create("c", 1, ["m"], {})
         journal.close()
-        assert collect_serve_spans(str(path)) == []
+        assert collect_spans(str(path), FLEET_SCOPE) == []
         # The collector must not have grafted serve tables onto it.
-        assert not has_serve_state(str(path))
+        assert not has_fleet_state(str(path))
 
     def test_unknown_campaign_collects_nothing(self, tmp_path):
         from repro.campaign.journal import CampaignJournal
 
         path = tmp_path / "c.db"
         CampaignJournal(path).close()
-        assert collect_campaign_spans(str(path), "ghost") == []
+        assert collect_spans(str(path), "ghost") == []
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +269,7 @@ class TestMetricsAggregator:
              "max_events": 100, "dropped_events": 1},
         ]
         for replica, stats in enumerate(per_replica):
-            store.record_replica_stats(replica, stats)
+            store.record_heartbeat(FLEET_SCOPE, replica, stats=stats)
         store.close()
         aggregator = MetricsAggregator(state_db=str(path))
         snapshot = aggregator.snapshot()
@@ -280,7 +283,9 @@ class TestMetricsAggregator:
     def test_http_section_folds_only_when_reported(self, tmp_path):
         path = tmp_path / "s.db"
         store = ServeStateStore(path)
-        store.record_replica_stats(0, {"counters": {}, "http": _http_snapshot(6)})
+        store.record_heartbeat(
+            FLEET_SCOPE, 0, stats={"counters": {}, "http": _http_snapshot(6)}
+        )
         store.close()
         snapshot = MetricsAggregator(state_db=str(path)).snapshot()
         assert snapshot["http"]["requests_total"] == 6
@@ -296,10 +301,11 @@ class TestMetricsAggregator:
     def test_prometheus_rendering_works(self, tmp_path):
         path = tmp_path / "s.db"
         store = ServeStateStore(path)
-        store.record_replica_stats(
+        store.record_heartbeat(
+            FLEET_SCOPE,
             0,
-            {"counters": {"calls": 2}, "n_events": 2, "max_events": 10,
-             "dropped_events": 0},
+            stats={"counters": {"calls": 2}, "n_events": 2, "max_events": 10,
+                   "dropped_events": 0},
         )
         store.close()
         text = MetricsAggregator(state_db=str(path)).to_prometheus()

@@ -229,7 +229,7 @@ def test_sigkill_leaves_a_reconstructable_timeline(tmp_path):
             if db.exists():
                 try:
                     spans = sqlite3.connect(db).execute(
-                        "SELECT COUNT(*) FROM campaign_spans"
+                        "SELECT COUNT(*) FROM wal_spans"
                     ).fetchone()[0]
                 except sqlite3.OperationalError:
                     spans = 0  # schema not committed yet
@@ -243,7 +243,7 @@ def test_sigkill_leaves_a_reconstructable_timeline(tmp_path):
         victim.wait()
 
     committed = sqlite3.connect(db).execute(
-        "SELECT COUNT(*) FROM campaign_spans"
+        "SELECT COUNT(*) FROM wal_spans"
     ).fetchone()[0]
     assert committed >= 3
 
@@ -270,6 +270,6 @@ def test_sigkill_leaves_a_reconstructable_timeline(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     assert "status: complete" in resumed.stdout
     after = sqlite3.connect(db).execute(
-        "SELECT COUNT(*) FROM campaign_spans"
+        "SELECT COUNT(*) FROM wal_spans"
     ).fetchone()[0]
     assert after > committed

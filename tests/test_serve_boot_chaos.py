@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.serve import FleetConfig, ServeConfig, ServeSupervisor
+from repro.wal import FLEET_SCOPE
 
 #: Drain offsets after ``start()``: one seeded draw from each sixth of
 #: the first 500 ms, so every boot phase is hit on every run.
@@ -37,11 +38,11 @@ def test_drain_during_boot_is_graceful(tmp_path, offset):
         time.sleep(offset)
         assert supervisor.drain() is True, [
             (event["replica"], event["kind"], event["detail"])
-            for event in supervisor.store.events()
+            for event in supervisor.store.events(FLEET_SCOPE)
         ]
         assert supervisor.pids == {}
         # Every replica drained itself and wrote its own final row.
-        rows = supervisor.store.replica_rows()
+        rows = supervisor.store.slot_rows(FLEET_SCOPE)
         assert [row["phase"] for row in rows] == ["drained", "drained"]
     finally:
         supervisor.close()

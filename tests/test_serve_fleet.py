@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.serve import FleetConfig, ServeConfig, ServeSupervisor
+from repro.wal import FLEET_SCOPE
 
 FAST = dict(heartbeat_interval=0.2, restart_backoff=0.05, drain_timeout=5.0)
 
@@ -67,7 +68,7 @@ def _supervisor(db, replicas=2, rate=None, burst=100.0, **fleet_kwargs):
 
 
 def _event_kinds(supervisor):
-    return [event["kind"] for event in supervisor.store.events()]
+    return [event["kind"] for event in supervisor.store.events(FLEET_SCOPE)]
 
 
 class TestSupervisorValidation:
@@ -116,7 +117,7 @@ class TestFleetServes:
             message="2 healthy replicas",
         )
         assert supervisor.drain() is True
-        rows = supervisor.store.replica_rows()
+        rows = supervisor.store.slot_rows(FLEET_SCOPE)
         assert [row["phase"] for row in rows] == ["drained", "drained"]
         kinds = _event_kinds(supervisor)
         assert kinds.count("drained") == 2
@@ -205,7 +206,7 @@ class TestServeChaos:
             _wait(
                 supervisor,
                 lambda: (
-                    (supervisor.store.replica_status(0) or {}).get(
+                    (supervisor.store.heartbeat(FLEET_SCOPE, 0) or {}).get(
                         "attempt", 0
                     ) >= 2
                     and supervisor.healthy_replicas() == 1
@@ -222,7 +223,7 @@ class TestServeChaos:
                 assert status == 200
                 assert body["cached"] is True
             spawn_events = [
-                event for event in supervisor.store.events()
+                event for event in supervisor.store.events(FLEET_SCOPE)
                 if event["kind"] in ("spawn", "restart")
             ]
             assert "chaos armed" in spawn_events[0]["detail"]

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.serve import ServeStateStore, has_serve_state
+from repro.serve import ServeStateStore
+from repro.wal import FLEET_SCOPE, has_fleet_state
 
 
 class WallClock:
@@ -164,18 +165,18 @@ class TestTenantBuckets:
 
 class TestReplicaRows:
     def test_rows_liveness_and_restart_counts(self, store, clock):
-        store.record_replica(
-            0, pid=100, attempt=1, phase="running",
-            requests_total=7, started_wall=clock(),
+        store.record_heartbeat(
+            FLEET_SCOPE, 0, pid=100, attempt=1, phase="running",
+            count=7, started_wall=clock(),
         )
-        store.record_replica(
-            1, pid=101, attempt=2, phase="running",
-            requests_total=3, started_wall=clock(),
+        store.record_heartbeat(
+            FLEET_SCOPE, 1, pid=101, attempt=2, phase="running",
+            count=3, started_wall=clock(),
         )
-        store.record_event(1, "crash", "exit code 137")
-        store.record_event(1, "restart", "pid 101 attempt 2")
+        store.record_event(FLEET_SCOPE, 1, "crash", "exit code 137")
+        store.record_event(FLEET_SCOPE, 1, "restart", "pid 101 attempt 2")
         clock.advance(5.0)
-        rows = store.replica_rows(now=clock(), heartbeat_timeout=10.0)
+        rows = store.slot_rows(FLEET_SCOPE, now=clock(), heartbeat_timeout=10.0)
         assert [row["replica"] for row in rows] == [0, 1]
         assert all(row["alive"] for row in rows)
         assert rows[0]["restarts"] == 0
@@ -185,22 +186,22 @@ class TestReplicaRows:
         # how a dead fleet's post-mortem reads 0 alive with no process
         # checks at all.
         clock.advance(10.0)
-        rows = store.replica_rows(now=clock(), heartbeat_timeout=10.0)
+        rows = store.slot_rows(FLEET_SCOPE, now=clock(), heartbeat_timeout=10.0)
         assert not any(row["alive"] for row in rows)
 
     def test_non_running_phase_is_never_alive(self, store, clock):
-        store.record_replica(
-            0, pid=100, attempt=1, phase="drained",
-            requests_total=0, started_wall=clock(),
+        store.record_heartbeat(
+            FLEET_SCOPE, 0, pid=100, attempt=1, phase="drained",
+            count=0, started_wall=clock(),
         )
-        (row,) = store.replica_rows(now=clock(), heartbeat_timeout=10.0)
+        (row,) = store.slot_rows(FLEET_SCOPE, now=clock(), heartbeat_timeout=10.0)
         assert row["alive"] is False
 
     def test_events_keep_recording_order(self, store):
-        store.record_event(-1, "fleet-start", "2 replicas")
-        store.record_event(0, "spawn", "pid 1")
-        store.record_event(0, "crash")
-        events = store.events()
+        store.record_event(FLEET_SCOPE, -1, "fleet-start", "2 replicas")
+        store.record_event(FLEET_SCOPE, 0, "spawn", "pid 1")
+        store.record_event(FLEET_SCOPE, 0, "crash")
+        events = store.events(FLEET_SCOPE)
         assert [event["kind"] for event in events] == [
             "fleet-start", "spawn", "crash",
         ]
@@ -210,20 +211,20 @@ class TestReplicaRows:
 
 class TestHasServeState:
     def test_missing_file_and_foreign_sqlite(self, tmp_path, db):
-        assert not has_serve_state(str(tmp_path / "nope.db"))
-        assert not has_serve_state("")
+        assert not has_fleet_state(str(tmp_path / "nope.db"))
+        assert not has_fleet_state("")
         # A journal without fleet tables (or with empty ones) is not
         # fleet state — `repro-cli top` must not grow a replicas panel
         # for a plain single-process journal.
         store = ServeStateStore(db)
         store.close()
-        assert not has_serve_state(db)
+        assert not has_fleet_state(db)
 
     def test_true_once_a_replica_row_exists(self, db):
         store = ServeStateStore(db)
-        store.record_replica(
-            0, pid=1, attempt=1, phase="running",
-            requests_total=0, started_wall=0.0,
+        store.record_heartbeat(
+            FLEET_SCOPE, 0, pid=1, attempt=1, phase="running",
+            count=0, started_wall=0.0,
         )
         store.close()
-        assert has_serve_state(db)
+        assert has_fleet_state(db)

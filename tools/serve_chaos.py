@@ -48,6 +48,7 @@ try:
 except ImportError:  # invoked without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro.serve import LoadProfile, ServeStateStore, run_loadgen
+from repro.wal import FLEET_SCOPE
 
 CLIENTS = 1000
 REQUESTS_PER_CLIENT = 20
@@ -81,7 +82,9 @@ def fail(message: str, server: "subprocess.Popen | None" = None) -> int:
 def _served_total(db: str) -> int:
     store = ServeStateStore(db)
     try:
-        return sum(row["requests_total"] for row in store.replicas())
+        return sum(
+            row["requests_total"] for row in store.heartbeats(FLEET_SCOPE)
+        )
     finally:
         store.close()
 
@@ -89,7 +92,7 @@ def _served_total(db: str) -> int:
 def _replica_rows(db: str):
     store = ServeStateStore(db)
     try:
-        return store.replica_rows()
+        return store.slot_rows(FLEET_SCOPE)
     finally:
         store.close()
 
